@@ -185,6 +185,12 @@ pub struct AlertingCore {
     attr_summaries: bool,
     /// The last summary announced, so no-op refreshes send nothing.
     last_summary: Option<InterestSummary>,
+    /// The subscription manager's interest version `last_summary` was
+    /// taken at: while it reads the same, the digest cannot have
+    /// changed and a refresh skips materialising and comparing it.
+    /// Reset together with `last_summary` and by the settings that
+    /// shape what is announced.
+    summary_gate: Option<u64>,
     /// When true (the default), frozen binary deliveries are pre-filtered
     /// by the zero-materialisation attribute probe and only decoded when
     /// some profile could match. Semantics-preserving either way; off
@@ -253,6 +259,7 @@ impl AlertingCore {
             pruning: false,
             attr_summaries: true,
             last_summary: None,
+            summary_gate: None,
             probe: true,
             mirror_ingest: false,
             counters: CoreCounters::default(),
@@ -268,6 +275,7 @@ impl AlertingCore {
     /// by its GDS node and always receives the full flood.
     pub fn set_pruning(&mut self, enabled: bool) {
         self.pruning = enabled;
+        self.summary_gate = None;
     }
 
     /// Enables or disables attribute digests on announced summaries (on
@@ -276,6 +284,7 @@ impl AlertingCore {
     /// are produced never changes either way.
     pub fn set_attr_summaries(&mut self, enabled: bool) {
         self.attr_summaries = enabled;
+        self.summary_gate = None;
     }
 
     /// Enables or disables the delivery-time attribute probe (on by
@@ -432,6 +441,7 @@ impl AlertingCore {
         self.subs.wipe_for_crash();
         self.gds.crash_reset();
         self.last_summary = None;
+        self.summary_gate = None;
         // Alert instances, throttle buckets and digest buffers are all
         // volatile; recovery restores whatever lifecycle state the
         // journal preserved (nothing, for the in-memory default).
@@ -569,16 +579,29 @@ impl AlertingCore {
         // have reset it on Unregister or child timeout: always treat
         // the next refresh as a fresh announcement.
         self.last_summary = None;
+        self.summary_gate = None;
     }
 
     /// Announces this server's interest summary to its GDS node when
     /// pruning is on and the digest changed since the last announcement
     /// (subscribe, unsubscribe, startup). Empty effects otherwise.
+    ///
+    /// Free with pruning off. With pruning on, a refresh after a
+    /// subscribe or unsubscribe that left the digest's value unchanged
+    /// (the interest version did not move) costs a counter compare;
+    /// otherwise it materialises the digest, O(anchors + digest keys).
+    /// Only the first refresh with pruning on passes over the stored
+    /// profiles, to build the subscription manager's tally.
     pub fn summary_refresh(&mut self) -> CoreEffects {
         let mut effects = CoreEffects::default();
         if !self.pruning {
             return effects;
         }
+        let version = self.subs.interest_version();
+        if self.summary_gate == Some(version) {
+            return effects;
+        }
+        self.summary_gate = Some(version);
         let mut summary = self.subs.interest_summary();
         if !self.attr_summaries {
             summary.clear_attrs();
@@ -2074,6 +2097,116 @@ mod tests {
             SimTime::from_secs(4),
         );
         assert!(eff.notifications.is_empty());
+    }
+
+    /// The interest summaries a step announced to the GDS node.
+    fn announced(effects: &CoreEffects) -> Vec<InterestSummary> {
+        effects
+            .outbound
+            .iter()
+            .filter_map(|(_, m)| match m {
+                SysMessage::Gds(GdsMessage::SummaryUpdate { summary, .. }) => Some(summary.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A pruning core past startup, which announced the empty summary.
+    fn pruning_core() -> AlertingCore {
+        let mut core = AlertingCore::new("A", "gds-1");
+        core.set_pruning(true);
+        let eff = core.startup(SimTime::ZERO);
+        assert_eq!(announced(&eff), [InterestSummary::empty()]);
+        core
+    }
+
+    /// Subscribes and refreshes, as `System::subscribe` does.
+    fn subscribe_announcing(
+        core: &mut AlertingCore,
+        text: &str,
+    ) -> (ProfileId, Vec<InterestSummary>) {
+        let id = core
+            .subscribe(ClientId::from_raw(1), parse_profile(text).unwrap())
+            .unwrap();
+        (id, announced(&core.summary_refresh()))
+    }
+
+    /// Unsubscribes and refreshes, as `System::unsubscribe` does.
+    fn unsubscribe_announcing(core: &mut AlertingCore, id: ProfileId) -> Vec<InterestSummary> {
+        assert!(core.unsubscribe(id));
+        announced(&core.summary_refresh())
+    }
+
+    #[test]
+    fn covered_resubscribe_announces_nothing() {
+        let mut core = pruning_core();
+        let shape = r#"host = "B" AND kind = "documents-added""#;
+        let (_, first) = subscribe_announcing(&mut core, shape);
+        assert_eq!(first.len(), 1);
+        assert!(first[0].has_attrs());
+        let version = core.gds.summary_version();
+        let gate = core.subs.interest_version();
+        // No new anchor, key or value: the tally's visible value holds,
+        // so both refreshes stop at the gate and send nothing.
+        let (again, none) = subscribe_announcing(&mut core, shape);
+        assert!(none.is_empty());
+        assert!(unsubscribe_announcing(&mut core, again).is_empty());
+        assert_eq!(core.gds.summary_version(), version);
+        assert_eq!(core.subs.interest_version(), gate);
+    }
+
+    #[test]
+    fn wildcard_edges_announce_exactly_once() {
+        let mut core = pruning_core();
+        subscribe_announcing(&mut core, r#"host = "B""#);
+        let (w1, on) = subscribe_announcing(&mut core, r#"text ~ "*x*""#);
+        assert_eq!(on, [InterestSummary::wildcard()]);
+        let (w2, more) = subscribe_announcing(&mut core, r#"NOT host = "C""#);
+        assert!(more.is_empty());
+        // Anchors change unseen under the wildcard.
+        let (_, hidden) = subscribe_announcing(&mut core, r#"host = "D""#);
+        assert!(hidden.is_empty());
+        assert!(unsubscribe_announcing(&mut core, w1).is_empty());
+        let off = unsubscribe_announcing(&mut core, w2);
+        assert_eq!(off.len(), 1);
+        assert!(!off[0].is_wildcard());
+        assert!(off[0].may_match("B", "B.X") && off[0].may_match("D", "D.X"));
+    }
+
+    #[test]
+    fn crash_recovery_reannounces_an_unchanged_digest() {
+        use gsa_state::{JournalConfig, JournalStateStore, MemMedium};
+        let mut core = AlertingCore::new("A", "gds-1");
+        core.set_pruning(true);
+        core.set_state_store(Box::new(JournalStateStore::new(
+            MemMedium::new(),
+            JournalConfig::default(),
+        )));
+        core.startup(SimTime::ZERO);
+        let (_, before) = subscribe_announcing(&mut core, r#"host = "B""#);
+        let version = core.gds.summary_version();
+        core.crash_wipe();
+        // The journal restores the same profile, so the digest equals
+        // the pre-crash one; the GDS node may have dropped it, so it is
+        // announced again, at a newer version.
+        let eff = core.startup(SimTime::from_secs(1));
+        assert_eq!(announced(&eff), before);
+        assert!(core.gds.summary_version() > version);
+    }
+
+    #[test]
+    fn toggling_attr_summaries_reannounces() {
+        let mut core = pruning_core();
+        let (_, tight) =
+            subscribe_announcing(&mut core, r#"host = "B" AND kind = "documents-added""#);
+        assert!(tight[0].has_attrs());
+        // The tally did not move, but what is announced did.
+        core.set_attr_summaries(false);
+        let loose = announced(&core.summary_refresh());
+        assert_eq!(loose.len(), 1);
+        assert!(!loose[0].has_attrs() && loose[0].may_match("B", "B.X"));
+        core.set_attr_summaries(true);
+        assert_eq!(announced(&core.summary_refresh()), tight);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use gsa_filter::{FilterEngine, MatchScratch, ShardedFilterEngine};
 use gsa_profile::{DnfError, Profile, ProfileExpr};
 use gsa_types::{ClientId, DocId, Event, ProfileId, SimTime};
-use gsa_wire::InterestSummary;
+use gsa_wire::{InterestSummary, SummaryTally};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -123,6 +123,11 @@ pub struct SubscriptionManager {
     /// runs allocation-free across the event stream.
     scratch: MatchScratch,
     matched: Vec<ProfileId>,
+    /// The counted union of every stored profile's interest digest.
+    /// Built on the first [`interest_summary`](Self::interest_summary)
+    /// request and kept current by every profile change from then on;
+    /// a server that never announces summaries never pays for it.
+    tally: Option<SummaryTally>,
 }
 
 impl SubscriptionManager {
@@ -181,6 +186,9 @@ impl SubscriptionManager {
         let id = ProfileId::from_raw(self.next_profile);
         self.engine.insert(id, &expr)?;
         self.next_profile += 1;
+        if let Some(tally) = &mut self.tally {
+            tally.add(&gsa_profile::interests_of(&expr));
+        }
         self.profiles.insert(id, Profile::new(id, client, expr));
         Ok(id)
     }
@@ -202,7 +210,15 @@ impl SubscriptionManager {
         expr: ProfileExpr,
     ) -> Result<(), DnfError> {
         self.engine.insert(id, &expr)?;
-        self.profiles.insert(id, Profile::new(id, client, expr));
+        let replaced = self.profiles.insert(id, Profile::new(id, client, expr));
+        if let Some(tally) = &mut self.tally {
+            // In before out: restoring a profile over an identical one
+            // then moves nothing visible.
+            tally.add(&gsa_profile::interests_of(self.profiles[&id].expr()));
+            if let Some(old) = replaced {
+                tally.remove(&gsa_profile::interests_of(old.expr()));
+            }
+        }
         self.set_next_profile_at_least(id.as_u64() + 1);
         Ok(())
     }
@@ -229,6 +245,9 @@ impl SubscriptionManager {
             MatchEngine::Sharded(ShardedFilterEngine::new(shards))
         };
         self.profiles.clear();
+        if let Some(tally) = &mut self.tally {
+            tally.clear();
+        }
         self.next_profile = 0;
     }
 
@@ -236,7 +255,16 @@ impl SubscriptionManager {
     /// Returns `true` when it existed.
     pub fn unsubscribe(&mut self, profile: ProfileId) -> bool {
         self.engine.remove(profile);
-        self.profiles.remove(&profile).is_some()
+        let Some(removed) = self.profiles.remove(&profile) else {
+            return false;
+        };
+        if let Some(tally) = &mut self.tally {
+            // Recomputed from the stored expression, not cached: a
+            // digest per profile would cost memory on every server to
+            // save one DNF pass per cancellation.
+            tally.remove(&gsa_profile::interests_of(removed.expr()));
+        }
+        true
     }
 
     /// Cancels all profiles of a client, returning how many were removed.
@@ -268,15 +296,40 @@ impl SubscriptionManager {
     /// announced to the GDS flood-pruning layer. Empty when no profiles
     /// are stored; wildcard as soon as any profile cannot be anchored to
     /// exact origins.
-    pub fn interest_summary(&self) -> InterestSummary {
-        let mut summary = InterestSummary::empty();
-        for profile in self.profiles.values() {
-            summary.union_with(&gsa_profile::interests_of(profile.expr()));
-            if summary.is_wildcard() {
-                break;
+    ///
+    /// The first call counts every stored profile into a
+    /// [`SummaryTally`] (O(profiles), once); from then on subscribe,
+    /// restore and unsubscribe keep it current at O(one digest) each,
+    /// and this call only materialises the tally: O(anchors + digest
+    /// keys), independent of the profile count.
+    pub fn interest_summary(&mut self) -> InterestSummary {
+        self.tally().summary()
+    }
+
+    /// A counter that moves whenever
+    /// [`interest_summary`](Self::interest_summary) may have changed;
+    /// equal readings imply equal summaries. Builds the tally like
+    /// `interest_summary` does.
+    pub(crate) fn interest_version(&mut self) -> u64 {
+        self.tally().version()
+    }
+
+    /// The interest tally, built from the stored profiles on first use.
+    fn tally(&mut self) -> &SummaryTally {
+        let profiles = &self.profiles;
+        self.tally.get_or_insert_with(|| {
+            let mut tally = SummaryTally::default();
+            for profile in profiles.values() {
+                tally.add(&gsa_profile::interests_of(profile.expr()));
             }
-        }
-        summary
+            tally
+        })
+    }
+
+    /// Whether the interest tally has been built.
+    #[cfg(test)]
+    pub(crate) fn tally_built(&self) -> bool {
+        self.tally.is_some()
     }
 
     /// Conservative zero-materialisation pre-filter over a frozen binary
@@ -533,6 +586,23 @@ mod tests {
 
     #[test]
     fn interest_summary_unions_profiles() {
+        // Profiles stored before the first request are all counted when
+        // the tally is built on that request.
+        let mut lazy = SubscriptionManager::new();
+        lazy.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap())
+            .unwrap();
+        let q = lazy
+            .subscribe(client(2), parse_profile(r#"collection = "B.C""#).unwrap())
+            .unwrap();
+        lazy.unsubscribe(q);
+        lazy.subscribe(client(3), parse_profile(r#"host = "D""#).unwrap())
+            .unwrap();
+        assert!(!lazy.tally_built());
+        let s = lazy.interest_summary();
+        assert!(lazy.tally_built());
+        assert!(s.may_match("A", "A.X") && s.may_match("D", "D.X"));
+        assert!(!s.may_match("B", "B.C"));
+
         let mut subs = SubscriptionManager::new();
         assert!(subs.interest_summary().is_empty());
         let p = subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
@@ -548,6 +618,193 @@ mod tests {
         subs.unsubscribe(p);
         let s = subs.interest_summary();
         assert!(!s.may_match("A", "A.X") && s.may_match("B", "B.C"));
+    }
+
+    /// The reference the tally must reproduce: the union of every live
+    /// profile's digest, folded afresh.
+    fn reference_fold(subs: &SubscriptionManager) -> InterestSummary {
+        let mut summary = InterestSummary::empty();
+        for profile in subs.profiles() {
+            summary.union_with(&gsa_profile::interests_of(profile.expr()));
+        }
+        summary
+    }
+
+    /// Distinct `dc.Title` values drawn by [`tally_shape`]: more than a
+    /// digest may carry, so the shared key's value union crosses the
+    /// bound and falls back below it as profiles leave.
+    const TITLES: usize = InterestSummary::MAX_ATTR_VALUES + 4;
+
+    /// Profile shapes covering every union rule. Shapes 0–4 all
+    /// constrain `dc.Title`, so the key survives while only they are
+    /// live; 5 is anchored without digests; 6 and 7 digest to wildcard;
+    /// 8 is unsatisfiable (an empty DNF, the empty digest).
+    fn tally_shape(shape: usize, v: usize) -> ProfileExpr {
+        let host = format!("H{}", v % 3);
+        let t = |k: usize| format!("t{}", (v + k) % TITLES);
+        let text = match shape {
+            0 => format!(r#"host = "{host}" AND dc.Title = "{}""#, t(0)),
+            1 => format!(
+                r#"collection = "{host}.C" AND dc.Title in ["{}", "{}"]"#,
+                t(0),
+                t(1)
+            ),
+            // A key repeated within one conjunction: first literal wins.
+            2 => format!(
+                r#"host = "{host}" AND dc.Title = "{}" AND dc.Title = "{}""#,
+                t(0),
+                t(2)
+            ),
+            // More keys than a digest carries.
+            3 => format!(
+                r#"host = "{host}" AND dc.Title = "{}" AND kind = "documents-added"
+                   AND dc.Creator = "c{}" AND dc.Subject = "s" AND dc.Date = "d""#,
+                t(0),
+                v % 2
+            ),
+            4 => format!(
+                r#"(host = "{host}" AND dc.Title = "{}") OR (collection = "X.Y" AND dc.Title = "{}")"#,
+                t(0),
+                t(3)
+            ),
+            5 => format!(r#"host in ["{host}", "H9"]"#),
+            6 => r#"text ~ "*x*""#.to_owned(),
+            7 => format!(r#"NOT host = "{host}""#),
+            _ => return ProfileExpr::Or(Vec::new()),
+        };
+        parse_profile(&text).unwrap()
+    }
+
+    /// Seeded property test: random interleavings of subscribe,
+    /// unsubscribe, restore (fresh and over a live id) and crash wipes.
+    /// After an unchecked prefix (the tally must not exist yet), every
+    /// step compares `interest_summary()` with the reference fold and
+    /// checks that an unmoved interest version means an unchanged
+    /// summary. Runs its cases by hand, like `proptest!` does, so it can
+    /// assert at the end that every union rule was exercised.
+    #[test]
+    fn interest_tally_equals_reference_fold() {
+        use proptest::prelude::*;
+        let ops = prop::collection::vec((0usize..20, 0usize..1000, 0usize..40), 1..80);
+        let cases = (ops, 0usize..8, 0usize..2);
+        let mut rng = TestRng::from_name("subs::interest_tally_equals_reference_fold");
+        let title = "meta:dc.Title";
+        let (mut wildcard, mut unsat, mut full_keys, mut crossed, mut fell_back) = (0, 0, 0, 0, 0);
+        for _ in 0..96 {
+            let (ops, unchecked, family) = cases.generate(&mut rng);
+            let mut subs = SubscriptionManager::new();
+            let mut last: Option<(u64, InterestSummary)> = None;
+            let mut over_bound = false;
+            for (step, (kind, a, s_raw)) in ops.into_iter().enumerate() {
+                let shape = if family == 0 {
+                    s_raw % 9
+                } else if s_raw < 36 {
+                    s_raw % 5
+                } else {
+                    5 + s_raw % 4
+                };
+                let expr = tally_shape(shape, a);
+                let mut live: Vec<ProfileId> = subs.profiles().map(Profile::id).collect();
+                live.sort();
+                match kind {
+                    0..=9 => {
+                        subs.subscribe(client(a as u64 % 4), expr).unwrap();
+                    }
+                    10..=14 => {
+                        let id = if live.is_empty() {
+                            ProfileId::from_raw(a as u64 % 8)
+                        } else {
+                            live[a % live.len()]
+                        };
+                        subs.unsubscribe(id);
+                    }
+                    15 | 16 if !live.is_empty() => {
+                        subs.restore(live[a % live.len()], client(1), expr).unwrap();
+                    }
+                    15..=18 => {
+                        subs.restore(ProfileId::from_raw(a as u64 % 64), client(2), expr)
+                            .unwrap();
+                    }
+                    _ if a % 3 == 0 => subs.wipe_for_crash(),
+                    _ => {
+                        subs.subscribe(client(3), expr).unwrap();
+                    }
+                }
+                if step < unchecked {
+                    assert!(!subs.tally_built(), "built before the first request");
+                    continue;
+                }
+                let version = subs.interest_version();
+                let got = subs.interest_summary();
+                assert_eq!(got, reference_fold(&subs), "step {step}");
+                if let Some((v, prev)) = &last {
+                    if *v == version {
+                        assert_eq!(&got, prev, "step {step}: version held, summary moved");
+                    }
+                }
+                last = Some((version, got.clone()));
+
+                let digests: Vec<InterestSummary> = subs
+                    .profiles()
+                    .map(|p| gsa_profile::interests_of(p.expr()))
+                    .collect();
+                wildcard += usize::from(got.is_wildcard());
+                unsat += usize::from(!got.is_empty() && digests.iter().any(|d| d.is_empty()));
+                full_keys += usize::from(got.attrs().count() == InterestSummary::MAX_ATTR_DIGESTS);
+                let anchored: Vec<&InterestSummary> =
+                    digests.iter().filter(|d| !d.is_empty()).collect();
+                let shared_values = (!got.is_wildcard() && !anchored.is_empty())
+                    .then(|| {
+                        anchored
+                            .iter()
+                            .map(|d| d.attr_constraint(title))
+                            .collect::<Option<Vec<_>>>()
+                    })
+                    .flatten()
+                    .map(|sets| {
+                        sets.into_iter()
+                            .flatten()
+                            .collect::<std::collections::BTreeSet<_>>()
+                    });
+                match shared_values {
+                    Some(values) if values.len() > InterestSummary::MAX_ATTR_VALUES => {
+                        assert!(got.attr_constraint(title).is_none());
+                        crossed += 1;
+                        over_bound = true;
+                    }
+                    Some(_) if over_bound => {
+                        assert!(got.attr_constraint(title).is_some());
+                        fell_back += 1;
+                        over_bound = false;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        for (rule, hits) in [
+            ("wildcard", wildcard),
+            ("unsatisfiable profile", unsat),
+            ("digest-key bound", full_keys),
+            ("value bound crossed", crossed),
+            ("value bound fallen back", fell_back),
+        ] {
+            assert!(hits > 0, "{rule} never exercised");
+        }
+    }
+
+    #[test]
+    fn pruning_off_core_never_builds_the_tally() {
+        let mut core = crate::AlertingCore::new("A", "gds-1");
+        core.startup(SimTime::ZERO);
+        let p = core
+            .subscribe(client(1), parse_profile(r#"host = "B""#).unwrap())
+            .unwrap();
+        assert!(core.summary_refresh().outbound.is_empty());
+        core.unsubscribe(p);
+        assert!(core.summary_refresh().outbound.is_empty());
+        core.crash_wipe();
+        core.startup(SimTime::from_secs(1));
+        assert!(!core.subscriptions().tally_built());
     }
 
     #[test]

@@ -58,6 +58,6 @@ pub use binary::{FrozenBytes, WireFormat};
 pub use envelope::Envelope;
 pub use payload::Payload;
 pub use probe::{DocProbe, EventProbe, MetaProbe};
-pub use summary::{InterestSummary, ATTR_KEY_KIND, ATTR_META_PREFIX};
+pub use summary::{InterestSummary, SummaryTally, ATTR_KEY_KIND, ATTR_META_PREFIX};
 pub use reliable::{Reliable, RetransmitQueue, RetryPolicy};
 pub use xml::{parse_document, WireError, XmlElement, XmlNode};

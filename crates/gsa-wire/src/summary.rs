@@ -27,6 +27,10 @@
 //! [`InterestSummary::MAX_ATTR_VALUES`]); exceeding a bound drops the
 //! digest, which widens toward "forward anyway" and stays sound.
 //!
+//! A server keeps the union of its own profiles' digests as a
+//! [`SummaryTally`]: the same union rule held as counts, so a subscribe
+//! or unsubscribe updates it without re-folding every profile.
+//!
 //! Summaries travel inside `gds:summary` messages, so this module also
 //! provides the XML (v1) and binary (v2) codec halves, following the
 //! same conventions as the rest of the wire layer. Because an
@@ -480,6 +484,239 @@ impl InterestSummary {
     }
 }
 
+/// Refcounts for one attribute key inside a [`SummaryTally`].
+#[derive(Debug, Clone, Default)]
+struct KeyTally {
+    /// Anchored digests that constrain this key.
+    digests: usize,
+    /// Per value, how many of those digests accept it.
+    values: BTreeMap<String, usize>,
+}
+
+/// Adds one reference to `key`; `true` when it is new.
+fn inc(map: &mut BTreeMap<String, usize>, key: &str) -> bool {
+    if let Some(n) = map.get_mut(key) {
+        *n += 1;
+        false
+    } else {
+        map.insert(key.to_owned(), 1);
+        true
+    }
+}
+
+/// Drops one reference to `key`; `true` when it was the last.
+fn dec(map: &mut BTreeMap<String, usize>, key: &str) -> bool {
+    let n = map
+        .get_mut(key)
+        .expect("tally removes only digests it was given");
+    *n -= 1;
+    if *n == 0 {
+        map.remove(key);
+        true
+    } else {
+        false
+    }
+}
+
+/// The union of many digests kept as counts, so that adding or removing
+/// one digest costs O(size of that digest) instead of a re-fold.
+///
+/// [`InterestSummary::union_with`] is order-independent, which is what
+/// makes the counts exact: anchors union; the result is wildcard when
+/// any digest is; a key survives when *every* non-empty digest
+/// constrains it and the union of its values stays within
+/// [`InterestSummary::MAX_ATTR_VALUES`]; empty digests are the
+/// identity. [`SummaryTally::summary`] materialises exactly what folding
+/// `union_with` over the live digests gives.
+///
+/// [`SummaryTally::version`] moves whenever the materialised value may
+/// have changed (conservatively: it may also move when it did not), so
+/// a caller that announced the value at version `v` can skip
+/// materialising while the version still reads `v`.
+///
+/// The default tally holds no digests; its summary is
+/// [`InterestSummary::empty`].
+#[derive(Debug, Clone, Default)]
+pub struct SummaryTally {
+    /// Wildcard digests held.
+    wildcards: usize,
+    /// Non-empty, non-wildcard digests held.
+    anchored: usize,
+    hosts: BTreeMap<String, usize>,
+    collections: BTreeMap<String, usize>,
+    attrs: BTreeMap<String, KeyTally>,
+    /// `n → how many keys are constrained by exactly n anchored
+    /// digests`. The keys at `n == anchored` are the ones every digest
+    /// constrains, so this finds keys joining or leaving that set
+    /// without scanning `attrs`.
+    keys_at: BTreeMap<usize, usize>,
+    version: u64,
+}
+
+impl SummaryTally {
+    /// Moves one key from `from` to `to` digests in `keys_at`.
+    fn shift_key(&mut self, from: usize, to: usize) {
+        if from > 0 {
+            let n = self.keys_at.get_mut(&from).expect("key count is tracked");
+            *n -= 1;
+            if *n == 0 {
+                self.keys_at.remove(&from);
+            }
+        }
+        if to > 0 {
+            *self.keys_at.entry(to).or_default() += 1;
+        }
+    }
+
+    /// How many keys exactly `digests` anchored digests constrain.
+    fn count_keys_at(&self, digests: usize) -> usize {
+        self.keys_at.get(&digests).copied().unwrap_or(0)
+    }
+
+    /// Counts one digest in.
+    pub fn add(&mut self, digest: &InterestSummary) {
+        if digest.wildcard {
+            self.wildcards += 1;
+            if self.wildcards == 1 {
+                self.version += 1;
+            }
+            return;
+        }
+        if digest.is_empty() {
+            return;
+        }
+        let before = self.anchored;
+        let mut changed = before == 0;
+        for host in &digest.hosts {
+            changed |= inc(&mut self.hosts, host);
+        }
+        for coll in &digest.collections {
+            changed |= inc(&mut self.collections, coll);
+        }
+        // Keys every digest constrained so far; those this digest does
+        // not constrain stop surviving.
+        let shared_before = self.count_keys_at(before);
+        let mut still_shared = 0;
+        for (key, vals) in &digest.attrs {
+            if !self.attrs.contains_key(key) {
+                self.attrs.insert(key.clone(), KeyTally::default());
+            }
+            let entry = self.attrs.get_mut(key).expect("inserted above");
+            let shared = before > 0 && entry.digests == before;
+            let visible = shared && entry.values.len() <= InterestSummary::MAX_ATTR_VALUES;
+            let from = entry.digests;
+            entry.digests += 1;
+            for v in vals {
+                changed |= inc(&mut entry.values, v) && visible;
+            }
+            still_shared += usize::from(shared);
+            self.shift_key(from, from + 1);
+        }
+        changed |= shared_before > still_shared;
+        self.anchored += 1;
+        if changed && self.wildcards == 0 {
+            self.version += 1;
+        }
+    }
+
+    /// Counts one digest out. It must equal a digest previously counted
+    /// in with [`SummaryTally::add`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the digest holds an anchor or value the tally never
+    /// counted in.
+    pub fn remove(&mut self, digest: &InterestSummary) {
+        if digest.wildcard {
+            self.wildcards -= 1;
+            if self.wildcards == 0 {
+                self.version += 1;
+            }
+            return;
+        }
+        if digest.is_empty() {
+            return;
+        }
+        let before = self.anchored;
+        let after = before - 1;
+        let mut changed = after == 0;
+        for host in &digest.hosts {
+            changed |= dec(&mut self.hosts, host);
+        }
+        for coll in &digest.collections {
+            changed |= dec(&mut self.collections, coll);
+        }
+        let shared_before = self.count_keys_at(before);
+        for (key, vals) in &digest.attrs {
+            let entry = self
+                .attrs
+                .get_mut(key)
+                .expect("tally removes only digests it was given");
+            let shared = entry.digests == before;
+            let from = entry.digests;
+            entry.digests -= 1;
+            let mut dropped = false;
+            for v in vals {
+                dropped |= dec(&mut entry.values, v);
+            }
+            // A shared key's values show unless they stay past the bound.
+            changed |= dropped && shared && entry.values.len() <= InterestSummary::MAX_ATTR_VALUES;
+            if entry.digests == 0 {
+                self.attrs.remove(key);
+            }
+            self.shift_key(from, from - 1);
+        }
+        // Keys constrained by every digest but the leaving one start
+        // surviving: they now sit at `after` beside the shared ones.
+        changed |= after > 0 && self.count_keys_at(after) > shared_before;
+        self.anchored = after;
+        if changed && self.wildcards == 0 {
+            self.version += 1;
+        }
+    }
+
+    /// Forgets every digest. The version moves on, so a caller gated on
+    /// it re-materialises.
+    pub fn clear(&mut self) {
+        let version = self.version + 1;
+        *self = SummaryTally {
+            version,
+            ..SummaryTally::default()
+        };
+    }
+
+    /// A counter that moves whenever [`SummaryTally::summary`] may have
+    /// changed. Equal versions imply equal summaries.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The union of every digest counted in: exactly the result of
+    /// folding [`InterestSummary::union_with`] over them, in any order.
+    /// Costs O(anchors + keys + surviving values).
+    pub fn summary(&self) -> InterestSummary {
+        if self.wildcards > 0 {
+            return InterestSummary::wildcard();
+        }
+        let mut summary = InterestSummary::empty();
+        if self.anchored == 0 {
+            return summary;
+        }
+        summary.hosts = self.hosts.keys().cloned().collect();
+        summary.collections = self.collections.keys().cloned().collect();
+        summary.attrs = self
+            .attrs
+            .iter()
+            .filter(|(_, t)| {
+                t.digests == self.anchored && t.values.len() <= InterestSummary::MAX_ATTR_VALUES
+            })
+            .map(|(key, t)| (key.clone(), t.values.keys().cloned().collect()))
+            .collect();
+        summary.canonicalize();
+        summary
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,6 +872,89 @@ mod tests {
         assert!(InterestSummary::empty().excludes_value("kind", "anything"));
         // Wildcard: nothing is excluded.
         assert!(!InterestSummary::wildcard().excludes_value("kind", "anything"));
+    }
+
+    fn fold(digests: &[InterestSummary]) -> InterestSummary {
+        let mut s = InterestSummary::empty();
+        for d in digests {
+            s.union_with(d);
+        }
+        s
+    }
+
+    fn anchored(host: &str, kinds: &[&str]) -> InterestSummary {
+        let mut s = InterestSummary::empty();
+        s.add_host(host);
+        if !kinds.is_empty() {
+            s.constrain_attr("kind", kinds.iter().map(|k| (*k).to_owned()));
+        }
+        s
+    }
+
+    /// A tally beside the live digests it counts.
+    #[derive(Default)]
+    struct Checked {
+        tally: SummaryTally,
+        live: Vec<InterestSummary>,
+    }
+
+    impl Checked {
+        /// Applies one step, checks the tally against the fold and
+        /// reports whether the version moved.
+        fn step(&mut self, add: bool, d: InterestSummary) -> bool {
+            let (v, before) = (self.tally.version(), self.tally.summary());
+            if add {
+                self.tally.add(&d);
+                self.live.push(d);
+            } else {
+                self.tally.remove(&d);
+                let at = self.live.iter().position(|x| *x == d).unwrap();
+                self.live.remove(at);
+            }
+            let now = self.tally.summary();
+            assert_eq!(now, fold(&self.live));
+            if self.tally.version() == v {
+                assert_eq!(now, before, "version held while the union moved");
+            }
+            self.tally.version() != v
+        }
+    }
+
+    #[test]
+    fn tally_equals_fold_and_versions_only_visible_changes() {
+        let mut c = Checked::default();
+        assert!(c.step(true, anchored("A", &["k0"])));
+        // A covered shape again, then away again: nothing visible moves.
+        assert!(!c.step(true, anchored("A", &["k0"])));
+        assert!(!c.step(false, anchored("A", &["k0"])));
+        // The empty digest is the identity.
+        assert!(!c.step(true, InterestSummary::empty()));
+        // A digest without the key drops it; its removal brings it back.
+        assert!(c.step(true, anchored("B", &[])));
+        assert!(c.step(false, anchored("B", &[])));
+        // Values past the bound drop the key; falling back restores it.
+        for i in 1..InterestSummary::MAX_ATTR_VALUES {
+            assert!(c.step(true, anchored("A", &[&format!("k{i}")])));
+        }
+        assert_eq!(c.tally.summary().attr_constraint("kind").unwrap().len(), 8);
+        assert!(c.step(true, anchored("A", &["k8"])));
+        assert!(c.tally.summary().attr_constraint("kind").is_none());
+        assert!(
+            !c.step(true, anchored("A", &["k9"])),
+            "already past the bound"
+        );
+        assert!(!c.step(false, anchored("A", &["k9"])));
+        assert!(c.step(false, anchored("A", &["k8"])));
+        assert!(c.tally.summary().attr_constraint("kind").is_some());
+        // Under a wildcard, anchors move unseen.
+        assert!(c.step(true, InterestSummary::wildcard()));
+        assert!(!c.step(true, anchored("C", &[])));
+        assert!(!c.step(true, InterestSummary::wildcard()));
+        assert!(!c.step(false, InterestSummary::wildcard()));
+        assert!(c.step(false, InterestSummary::wildcard()));
+        assert!(c.tally.summary().may_match("C", "C.X"));
+        c.tally.clear();
+        assert!(c.tally.summary().is_empty());
     }
 
     #[test]
