@@ -1,9 +1,9 @@
 //! Criterion version of experiment E3: the interned equality-preferred
-//! engine (scratch/batch API) vs the string-keyed baseline it replaced
-//! vs a naive linear scan, swept over profile counts (paper Section 5).
+//! engine (scratch API) vs a naive linear scan, swept over profile
+//! counts (paper Section 5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gsa_filter::{BaselineEngine, FilterEngine, MatchScratch, NaiveFilter};
+use gsa_filter::{FilterEngine, MatchScratch, NaiveFilter};
 use gsa_types::{Event, EventId, EventKind, ProfileId, SimTime};
 use gsa_workload::{DocumentGenerator, GsWorld, ProfileMix, ProfilePopulation, WorldParams};
 use std::hint::black_box;
@@ -43,11 +43,9 @@ fn bench_filter(c: &mut Criterion) {
     for &count in &[100usize, 1_000, 10_000] {
         let population = ProfilePopulation::generate(42, &world, count, &ProfileMix::default());
         let mut fast = FilterEngine::new();
-        let mut baseline = BaselineEngine::new();
         let mut naive = NaiveFilter::new();
         for (i, (_, _, expr)) in population.profiles.iter().enumerate() {
             fast.insert(ProfileId::from_raw(i as u64), expr).expect("indexable");
-            baseline.insert(ProfileId::from_raw(i as u64), expr).expect("indexable");
             naive.insert(ProfileId::from_raw(i as u64), expr.clone());
         }
         group.bench_with_input(
@@ -60,17 +58,6 @@ fn bench_filter(c: &mut Criterion) {
                     for e in events {
                         fast.matches_into(e, &mut scratch, &mut matched);
                         black_box(matched.len());
-                    }
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("baseline_string_keyed", count),
-            &events,
-            |b, events| {
-                b.iter(|| {
-                    for e in events {
-                        black_box(baseline.matches(e));
                     }
                 });
             },

@@ -2,23 +2,19 @@
 //! citing Fabret et al. for the equality-preferred algorithm).
 //!
 //! Sweeps the number of registered profiles and measures events/second
-//! for four engines over the same event stream:
+//! for two engines over the same event stream:
 //!
 //! * `naive` — linear scan, every profile evaluated per event (only run
 //!   at small profile counts; it degrades linearly);
-//! * `baseline` — the first-generation string-keyed equality-preferred
-//!   engine this release replaced;
-//! * `interned` — the current engine (interned symbols, flat index,
-//!   reusable scratch) driven through the allocation-free batch path;
-//! * `sharded` — the current engine partitioned across scoped threads,
-//!   driven through the batch API.
+//! * `interned` — the equality-preferred engine (interned symbols, flat
+//!   index, reusable scratch) driven through the allocation-free path.
 //!
 //! Besides the human-readable table, writes machine-readable results to
 //! `BENCH_e3_filter.json` in the working directory (the repo root when
 //! launched via `cargo run`).
 
 use gsa_bench::Table;
-use gsa_filter::{BaselineEngine, FilterEngine, MatchScratch, NaiveFilter, ShardedFilterEngine};
+use gsa_filter::{FilterEngine, MatchScratch, NaiveFilter};
 use gsa_types::{Event, EventId, EventKind, ProfileId, SimTime};
 use gsa_workload::{DocumentGenerator, GsWorld, ProfileMix, ProfilePopulation, WorldParams};
 use std::fmt::Write as _;
@@ -71,9 +67,7 @@ fn measure(batch_len: usize, mut pass: impl FnMut() -> usize) -> (f64, usize) {
 struct Row {
     profiles: usize,
     naive: Option<f64>,
-    baseline: f64,
     interned: f64,
-    sharded: f64,
     matches: usize,
 }
 
@@ -95,42 +89,30 @@ fn main() {
         title_wildcard: 0.05,
         kind_equals: 0.0,
     };
-    let shards = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
 
-    println!("E3: filter throughput — naive / baseline / interned / sharded({shards})");
+    println!("E3: filter throughput — naive / interned");
     println!("    (200 events x 3 docs per measurement, ~200 collections, selective profiles)");
     println!();
     let mut table = Table::new(vec![
         "profiles",
         "naive ev/s",
-        "baseline ev/s",
         "interned ev/s",
-        "sharded ev/s",
-        "interned/baseline",
+        "interned/naive",
         "matches",
     ]);
     let mut rows = Vec::new();
     for &count in &[100usize, 500, 1_000, 5_000, 10_000, 20_000, 50_000, 100_000] {
         let population = ProfilePopulation::generate(42, &world, count, &mix);
         let mut naive = NaiveFilter::new();
-        let mut baseline = BaselineEngine::new();
         let mut interned = FilterEngine::new();
-        let mut sharded = ShardedFilterEngine::new(shards);
         for (i, (_, _, expr)) in population.profiles.iter().enumerate() {
             let id = ProfileId::from_raw(i as u64);
-            baseline.insert(id, expr).expect("indexable");
             interned.insert(id, expr).expect("indexable");
-            sharded.insert(id, expr).expect("indexable");
             if count <= NAIVE_CUTOFF {
                 naive.insert(id, expr.clone());
             }
         }
 
-        let (baseline_rate, baseline_matches) = measure(event_batch.len(), || {
-            event_batch.iter().map(|e| baseline.matches(e).len()).sum()
-        });
         let mut scratch = MatchScratch::new();
         let mut matched = Vec::new();
         let (interned_rate, interned_matches) = measure(event_batch.len(), || {
@@ -141,16 +123,6 @@ fn main() {
             }
             total
         });
-        let (sharded_rate, sharded_matches) = measure(event_batch.len(), || {
-            sharded
-                .matches_batch(&event_batch)
-                .iter()
-                .map(Vec::len)
-                .sum()
-        });
-        assert_eq!(interned_matches, baseline_matches, "engines must agree");
-        assert_eq!(interned_matches, sharded_matches, "engines must agree");
-
         let naive_rate = (count <= NAIVE_CUTOFF).then(|| {
             let (rate, naive_matches) = measure(event_batch.len(), || {
                 event_batch.iter().map(|e| naive.matches(e).len()).sum()
@@ -162,53 +134,44 @@ fn main() {
         table.row(vec![
             count.to_string(),
             naive_rate.map_or_else(|| "-".to_string(), |r| format!("{r:.0}")),
-            format!("{baseline_rate:.0}"),
             format!("{interned_rate:.0}"),
-            format!("{sharded_rate:.0}"),
-            format!("{:.1}x", interned_rate / baseline_rate),
+            naive_rate.map_or_else(|| "-".to_string(), |r| format!("{:.1}x", interned_rate / r)),
             interned_matches.to_string(),
         ]);
         rows.push(Row {
             profiles: count,
             naive: naive_rate,
-            baseline: baseline_rate,
             interned: interned_rate,
-            sharded: sharded_rate,
             matches: interned_matches,
         });
     }
     println!("{table}");
 
-    let json = render_json(&rows, event_batch.len(), shards);
+    let json = render_json(&rows, event_batch.len());
     let path = "BENCH_e3_filter.json";
     std::fs::write(path, &json).expect("write BENCH_e3_filter.json");
     println!("wrote {path}");
 }
 
-fn render_json(rows: &[Row], batch: usize, shards: usize) -> String {
+fn render_json(rows: &[Row], batch: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"experiment\": \"E3 filter throughput\",");
     let _ = writeln!(s, "  \"events_per_pass\": {batch},");
     let _ = writeln!(s, "  \"docs_per_event\": 3,");
-    let _ = writeln!(s, "  \"shards\": {shards},");
     s.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let naive = r
             .naive
             .map_or_else(|| "null".to_string(), |v| format!("{v:.1}"));
+        let ratio = r
+            .naive
+            .map_or_else(|| "null".to_string(), |v| format!("{:.2}", r.interned / v));
         let _ = write!(
             s,
-            "    {{\"profiles\": {}, \"naive_ev_s\": {}, \"baseline_ev_s\": {:.1}, \
-             \"interned_ev_s\": {:.1}, \"sharded_ev_s\": {:.1}, \
-             \"interned_vs_baseline\": {:.2}, \"matches\": {}}}",
-            r.profiles,
-            naive,
-            r.baseline,
-            r.interned,
-            r.sharded,
-            r.interned / r.baseline,
-            r.matches
+            "    {{\"profiles\": {}, \"naive_ev_s\": {}, \"interned_ev_s\": {:.1}, \
+             \"interned_vs_naive\": {}, \"matches\": {}}}",
+            r.profiles, naive, r.interned, ratio, r.matches
         );
         s.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }

@@ -7,19 +7,14 @@
 //! measures wall-clock events/s and routed messages/s through the
 //! zero-allocation hot loop: interned counter slots, indexed link
 //! lookups, pooled command buffers and batched deliveries drained
-//! through the (optionally sharded) filter engine. Profiles are spread
-//! over four watcher servers; all but one profile per watcher is a
-//! cold indexed equality the probe rejects, so the cell exercises the
-//! at-scale common case — a delivery that matches almost nothing.
-//!
-//! Two seed-equivalent A/B rows rerun the 40×10⁴ and 200×10⁵ cells on
-//! the legacy cost model (string-keyed counters, per-message link
-//! clones, fresh command buffers) to price the refactor; every cell
-//! asserts exact delivery (events × watchers) before it reports a
-//! number.
+//! through the filter engine. Profiles are spread over four watcher
+//! servers; all but one profile per watcher is a cold indexed equality
+//! the probe rejects, so the cell exercises the at-scale common case —
+//! a delivery that matches almost nothing. Every cell asserts exact
+//! delivery (events × watchers) before it reports a number.
 //!
 //! Writes `BENCH_e7_scale.json` in the working directory. `--smoke`
-//! runs one tiny cell plus its A/B twin for CI.
+//! runs one tiny cell for CI.
 
 use gsa_bench::Table;
 use gsa_core::{System, WireConfig};
@@ -65,7 +60,6 @@ fn exact_tree(n: usize) -> GdsTopology {
 }
 
 /// One per-link latency distribution.
-#[derive(Clone)]
 struct Distro {
     label: &'static str,
     /// Default link every edge starts from.
@@ -126,9 +120,7 @@ fn event_payload(publisher: &HostName, seq: u64) -> Payload {
 struct Row {
     nodes: usize,
     profiles: usize,
-    shards: usize,
     distro: &'static str,
-    path: &'static str,
     events: usize,
     setup_ms: f64,
     wall_ms: f64,
@@ -153,17 +145,9 @@ fn events_for(nodes: usize) -> usize {
 /// the fastest run is the one least perturbed by the host.
 const REPS: usize = 5;
 
-/// Runs one cell: builds the exact tree, attaches the publisher at the
-/// deepest node and `WATCHERS` servers spread across the tree, loads
-/// the profile population, then floods pre-encoded publishes in bursts
-/// [`REPS`] times — each repetition on a fresh `MessageId` range so
-/// GDS duplicate suppression never short-circuits a flood — and
-/// reports the fastest flood + dispatch wall-clock.
-/// A fully built cell ready to measure: repetitions run one at a time
-/// through [`Cell::run_rep`] so an A/B twin pair can interleave its
-/// fast and seed-equivalent repetitions — host noise and allocator
-/// drift then land on both paths symmetrically instead of on whichever
-/// cell happened to run later.
+/// A fully built cell ready to measure: the exact tree, the publisher
+/// at the deepest node and `WATCHERS` servers spread across the tree
+/// with the profile population loaded.
 struct Cell {
     system: System,
     watchers: Vec<(String, ClientId)>,
@@ -171,43 +155,27 @@ struct Cell {
     origin_node: gsa_simnet::NodeId,
     nodes: usize,
     profiles: usize,
-    shards: usize,
     distro: Distro,
-    legacy: bool,
     events: usize,
     setup_ms: f64,
-    reps_done: usize,
-    best: Option<Row>,
 }
 
-fn run_cell(nodes: usize, profiles: usize, distro: Distro, legacy: bool, events: usize) -> Row {
-    let mut cell = Cell::build(nodes, profiles, distro, legacy, events);
-    for _ in 0..REPS {
-        cell.run_rep();
-    }
-    cell.into_best()
-}
-
-/// Builds the fast and seed-equivalent twins of one cell and runs
-/// their repetitions interleaved (fast rep 0, legacy rep 0, fast rep
-/// 1, …), reporting the best of each.
-fn run_ab_cell(nodes: usize, profiles: usize, distro: Distro, events: usize) -> (Row, Row) {
-    let mut fast = Cell::build(nodes, profiles, distro.clone(), false, events);
-    let mut legacy = Cell::build(nodes, profiles, distro, true, events);
-    for _ in 0..REPS {
-        fast.run_rep();
-        legacy.run_rep();
-    }
-    (fast.into_best(), legacy.into_best())
+/// Runs one cell: floods pre-encoded publishes in bursts [`REPS`] times
+/// — each repetition on a fresh `MessageId` range so GDS duplicate
+/// suppression never short-circuits a flood — and reports the fastest
+/// flood + dispatch wall-clock.
+fn run_cell(nodes: usize, profiles: usize, distro: Distro, events: usize) -> Row {
+    let mut cell = Cell::build(nodes, profiles, distro, events);
+    (0..REPS)
+        .map(|rep| cell.run_rep(rep))
+        .max_by(|a, b| a.events_per_sec.total_cmp(&b.events_per_sec))
+        .expect("REPS >= 1")
 }
 
 impl Cell {
-    fn build(nodes: usize, profiles: usize, distro: Distro, legacy: bool, events: usize) -> Cell {
+    fn build(nodes: usize, profiles: usize, distro: Distro, events: usize) -> Cell {
         let setup_started = Instant::now();
-        let shards = if profiles >= 1_000_000 { 4 } else { 1 };
         let mut system = System::new(0xE7);
-        system.set_seed_equivalent_path(legacy);
-        system.set_filter_shards(shards);
         system.set_wire(WireConfig::v2());
         system.set_default_link(distro.base.clone());
 
@@ -276,29 +244,20 @@ impl Cell {
             origin_node,
             nodes,
             profiles,
-            shards,
             distro,
-            legacy,
             events,
             setup_ms,
-            reps_done: 0,
-            best: None,
         }
     }
 
-    /// Runs one repetition on a fresh `MessageId` range and keeps the
-    /// fastest row seen so far.
-    fn run_rep(&mut self) {
-        let rep = self.reps_done;
-        self.reps_done += 1;
+    /// Runs repetition `rep` on its own `MessageId` range.
+    fn run_rep(&mut self, rep: usize) -> Row {
         let (nodes, profiles, events) = (self.nodes, self.profiles, self.events);
-        let (shards, setup_ms, legacy) = (self.shards, self.setup_ms, self.legacy);
         let (publisher_node, origin_node) = (self.publisher_node, self.origin_node);
         let publisher = HostName::new("Hamilton");
         let Cell {
             system,
             watchers,
-            best,
             distro,
             ..
         } = self;
@@ -355,14 +314,12 @@ impl Cell {
         let mean_latency_ms =
             latencies_us.iter().sum::<u64>() as f64 / latencies_us.len() as f64 / 1e3;
         let max_latency_ms = latencies_us.iter().copied().max().unwrap_or(0) as f64 / 1e3;
-        let row = Row {
+        Row {
             nodes,
             profiles,
-            shards,
             distro: distro.label,
-            path: if legacy { "seed-eq" } else { "fast" },
             events,
-            setup_ms,
+            setup_ms: self.setup_ms,
             wall_ms: wall.as_secs_f64() * 1e3,
             events_per_sec: events as f64 / wall_secs,
             msgs,
@@ -370,34 +327,12 @@ impl Cell {
             notifications,
             mean_latency_ms,
             max_latency_ms,
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| row.events_per_sec > b.events_per_sec)
-        {
-            *best = Some(row);
         }
     }
-
-    fn into_best(self) -> Row {
-        self.best.expect("REPS >= 1")
-    }
-}
-
-struct AbRow {
-    nodes: usize,
-    profiles: usize,
-    fast: f64,
-    legacy: f64,
-    speedup: f64,
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // A/B-only mode: just the seed-equivalent twin cells, no grid and
-    // no JSON — for profiling the two paths without the 10⁶-profile
-    // setup cells diluting the samples.
-    let ab_only = std::env::args().any(|a| a == "--ab");
 
     println!("E7-scale: runtime throughput sweep (nodes x profiles x latency distribution)");
     println!(
@@ -407,76 +342,25 @@ fn main() {
     println!();
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut ab: Vec<AbRow> = Vec::new();
-
-    // The A/B coordinate pairs measured on both paths; their fast rows
-    // double as the grid cells at the same coordinates, so the twins
-    // are always measured interleaved.
-    const AB_CELLS: [(usize, usize); 2] = [(40, 10_000), (200, 100_000)];
-    let mut legacy_rows: Vec<Row> = Vec::new();
-    let measure_ab = |nodes: usize,
-                      profiles: usize,
-                      events: usize,
-                      ab: &mut Vec<AbRow>,
-                      legacy_rows: &mut Vec<Row>|
-     -> Row {
-        let (fast, legacy) = run_ab_cell(nodes, profiles, lan(), events);
-        ab.push(AbRow {
-            nodes,
-            profiles,
-            fast: fast.events_per_sec,
-            legacy: legacy.events_per_sec,
-            speedup: fast.events_per_sec / legacy.events_per_sec,
-        });
-        legacy_rows.push(legacy);
-        fast
-    };
-
     if smoke {
-        rows.push(measure_ab(40, 2_000, 96, &mut ab, &mut legacy_rows));
-    } else if ab_only {
-        for &(nodes, profiles) in &AB_CELLS {
-            let fast = measure_ab(
-                nodes,
-                profiles,
-                events_for(nodes),
-                &mut ab,
-                &mut legacy_rows,
-            );
-            rows.push(fast);
-        }
+        rows.push(run_cell(40, 2_000, lan(), 96));
     } else {
-        // The full grid on the LAN distribution (the A/B cells measure
-        // their fast and seed-equivalent twins interleaved)…
+        // The full grid on the LAN distribution…
         for &nodes in &[40usize, 200, 1_000] {
             for &profiles in &[10_000usize, 100_000, 1_000_000] {
-                let events = events_for(nodes);
-                if AB_CELLS.contains(&(nodes, profiles)) {
-                    rows.push(measure_ab(
-                        nodes,
-                        profiles,
-                        events,
-                        &mut ab,
-                        &mut legacy_rows,
-                    ));
-                } else {
-                    rows.push(run_cell(nodes, profiles, lan(), false, events));
-                }
+                rows.push(run_cell(nodes, profiles, lan(), events_for(nodes)));
             }
         }
         // …and the distribution sweep at the centre cell.
         for distro in distros().into_iter().skip(1) {
-            rows.push(run_cell(200, 100_000, distro, false, events_for(200)));
+            rows.push(run_cell(200, 100_000, distro, events_for(200)));
         }
     }
-    rows.append(&mut legacy_rows);
 
     let mut table = Table::new(vec![
         "nodes",
         "profiles",
-        "shards",
         "distro",
-        "path",
         "events",
         "setup-ms",
         "wall-ms",
@@ -490,9 +374,7 @@ fn main() {
         table.row(vec![
             r.nodes.to_string(),
             r.profiles.to_string(),
-            r.shards.to_string(),
             r.distro.to_string(),
-            r.path.to_string(),
             r.events.to_string(),
             format!("{:.0}", r.setup_ms),
             format!("{:.1}", r.wall_ms),
@@ -505,22 +387,15 @@ fn main() {
     }
     println!("{table}");
 
-    for r in &ab {
-        println!(
-            "  {} nodes x {} profiles: fast {:.0} ev/s vs seed-equivalent {:.0} ev/s = {:.2}x",
-            r.nodes, r.profiles, r.fast, r.legacy, r.speedup
-        );
-    }
-
-    if !smoke && !ab_only {
-        let json = render_json(&rows, &ab);
+    if !smoke {
+        let json = render_json(&rows);
         let path = "BENCH_e7_scale.json";
         std::fs::write(path, &json).expect("write BENCH_e7_scale.json");
         println!("\nwrote {path}");
     }
 }
 
-fn render_json(rows: &[Row], ab: &[AbRow]) -> String {
+fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e7_scale_sweep\",\n");
     let _ = writeln!(out, "  \"fanout\": {FANOUT},");
     let _ = writeln!(out, "  \"watchers\": {WATCHERS},");
@@ -529,15 +404,13 @@ fn render_json(rows: &[Row], ab: &[AbRow]) -> String {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         writeln!(
             out,
-            "    {{\"nodes\": {}, \"profiles\": {}, \"shards\": {}, \"distro\": \"{}\", \
-             \"path\": \"{}\", \"events\": {}, \"setup_ms\": {:.1}, \"wall_ms\": {:.2}, \
+            "    {{\"nodes\": {}, \"profiles\": {}, \"distro\": \"{}\", \
+             \"events\": {}, \"setup_ms\": {:.1}, \"wall_ms\": {:.2}, \
              \"events_per_sec\": {:.1}, \"msgs\": {}, \"msgs_per_sec\": {:.1}, \
              \"notifications\": {}, \"mean_latency_ms\": {:.3}, \"max_latency_ms\": {:.3}}}{}",
             r.nodes,
             r.profiles,
-            r.shards,
             r.distro,
-            r.path,
             r.events,
             r.setup_ms,
             r.wall_ms,
@@ -548,17 +421,6 @@ fn render_json(rows: &[Row], ab: &[AbRow]) -> String {
             r.mean_latency_ms,
             r.max_latency_ms,
             comma,
-        )
-        .expect("string write");
-    }
-    out.push_str("  ],\n  \"seed_equivalent_ab\": [\n");
-    for (i, r) in ab.iter().enumerate() {
-        let comma = if i + 1 == ab.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"nodes\": {}, \"profiles\": {}, \"fast_events_per_sec\": {:.1}, \
-             \"legacy_events_per_sec\": {:.1}, \"speedup\": {:.2}}}{}",
-            r.nodes, r.profiles, r.fast, r.legacy, r.speedup, comma,
         )
         .expect("string write");
     }

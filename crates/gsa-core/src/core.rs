@@ -295,15 +295,6 @@ impl AlertingCore {
         self.probe = enabled;
     }
 
-    /// Partitions the subscription-matching backend into `shards`
-    /// independently matched engines (`1`, the default, keeps the
-    /// single engine). Sharding never changes which notifications are
-    /// produced; it lets a batched delivery drain through all shards
-    /// in one fan-out.
-    pub fn set_filter_shards(&mut self, shards: usize) {
-        self.subs.set_shards(shards);
-    }
-
     /// Enables mirror ingest: delivered events whose origin is a
     /// sub-collection target of a local collection feed that
     /// collection's document store directly (off by default).
@@ -1135,8 +1126,8 @@ impl AlertingCore {
     /// Accept, probe, decode and mirror run per item in arrival order,
     /// exactly as unbatching into [`handle_message`](Self::handle_message)
     /// calls would; only the profile match is deferred, so every event
-    /// that survives the probe crosses the subscription manager — and a
-    /// sharded engine's thread fan-out — in a single batched call.
+    /// that survives the probe crosses the subscription manager in a
+    /// single batched call.
     /// Notifications come back in the same (event, ascending-profile)
     /// order either way.
     pub fn handle_gds_batch(&mut self, items: Vec<GdsMessage>, now: SimTime) -> CoreEffects {

@@ -6,7 +6,7 @@
 //! always a local operation, which is what rules out dangling *user*
 //! profiles by construction.
 
-use gsa_filter::{FilterEngine, MatchScratch, ShardedFilterEngine};
+use gsa_filter::{FilterEngine, MatchScratch};
 use gsa_profile::{DnfError, Profile, ProfileExpr};
 use gsa_types::{ClientId, DocId, Event, ProfileId, SimTime};
 use gsa_wire::{InterestSummary, SummaryTally};
@@ -45,77 +45,11 @@ impl fmt::Display for Notification {
     }
 }
 
-/// The matching backend: one equality-preferred engine, or the same
-/// engine partitioned by profile id into shards matched in parallel
-/// when a batch of deliveries drains at once. The two agree exactly on
-/// semantics (a property test in `gsa-filter` pins that), so switching
-/// backends never changes which notifications are produced.
-#[derive(Debug)]
-// One engine per server, never stored in collections — the size gap
-// between variants costs nothing, while boxing would cost a deref on
-// every match.
-#[allow(clippy::large_enum_variant)]
-enum MatchEngine {
-    Single(FilterEngine),
-    Sharded(ShardedFilterEngine),
-}
-
-impl Default for MatchEngine {
-    fn default() -> Self {
-        MatchEngine::Single(FilterEngine::new())
-    }
-}
-
-impl MatchEngine {
-    fn insert(
-        &mut self,
-        id: ProfileId,
-        expr: &ProfileExpr,
-    ) -> Result<(), DnfError> {
-        match self {
-            MatchEngine::Single(e) => e.insert(id, expr),
-            MatchEngine::Sharded(e) => e.insert(id, expr),
-        }
-    }
-
-    fn remove(&mut self, id: ProfileId) {
-        match self {
-            MatchEngine::Single(e) => {
-                e.remove(id);
-            }
-            MatchEngine::Sharded(e) => {
-                e.remove(id);
-            }
-        }
-    }
-
-    fn probe_matches(
-        &self,
-        probe: &mut gsa_wire::EventProbe<'_>,
-        scratch: &mut MatchScratch,
-    ) -> Result<bool, gsa_wire::WireError> {
-        match self {
-            MatchEngine::Single(e) => e.probe_matches(probe, scratch),
-            MatchEngine::Sharded(e) => e.probe_matches(probe, scratch),
-        }
-    }
-
-    fn matches_into(&self, event: &Event, scratch: &mut MatchScratch, out: &mut Vec<ProfileId>) {
-        match self {
-            MatchEngine::Single(e) => e.matches_into(event, scratch, out),
-            MatchEngine::Sharded(e) => {
-                out.clear();
-                out.extend(e.matches(event));
-            }
-        }
-    }
-}
-
 /// Stores one server's client profiles and filters events against them
 /// with the equality-preferred engine.
 #[derive(Debug, Default)]
 pub struct SubscriptionManager {
-    engine: MatchEngine,
+    engine: FilterEngine,
     profiles: HashMap<ProfileId, Profile>,
     next_profile: u64,
     mailboxes: HashMap<ClientId, Vec<Notification>>,
@@ -134,33 +68,6 @@ impl SubscriptionManager {
     /// Creates an empty manager.
     pub fn new() -> Self {
         SubscriptionManager::default()
-    }
-
-    /// Repartitions the matching backend into `shards` independently
-    /// matched engines (`1` restores the single engine). Every stored
-    /// profile is re-indexed into its home shard; match results are
-    /// unchanged — only batch drains fan out across the shards.
-    pub fn set_shards(&mut self, shards: usize) {
-        let mut engine = if shards <= 1 {
-            MatchEngine::Single(FilterEngine::new())
-        } else {
-            MatchEngine::Sharded(ShardedFilterEngine::new(shards))
-        };
-        for profile in self.profiles.values() {
-            engine
-                .insert(profile.id(), profile.expr())
-                .expect("previously indexed profile re-indexes");
-        }
-        self.engine = engine;
-    }
-
-    /// Number of shards in the matching backend (1 for the single
-    /// engine).
-    pub fn shards(&self) -> usize {
-        match &self.engine {
-            MatchEngine::Single(_) => 1,
-            MatchEngine::Sharded(e) => e.shard_count(),
-        }
     }
 
     /// Number of stored profiles.
@@ -235,15 +142,8 @@ impl SubscriptionManager {
     /// id allocator vanish — exactly what an in-memory server loses.
     /// Client mailboxes survive deliberately: they model the *client
     /// side* inbox of already-produced notifications, not server state.
-    /// The shard count is preserved (it is deployment configuration,
-    /// not data).
     pub fn wipe_for_crash(&mut self) {
-        let shards = self.shards();
-        self.engine = if shards <= 1 {
-            MatchEngine::Single(FilterEngine::new())
-        } else {
-            MatchEngine::Sharded(ShardedFilterEngine::new(shards))
-        };
+        self.engine = FilterEngine::new();
         self.profiles.clear();
         if let Some(tally) = &mut self.tally {
             tally.clear();
@@ -380,8 +280,7 @@ impl SubscriptionManager {
 
     /// Filters a batch of events in one pass, queueing notifications
     /// exactly as per-event [`filter_event`](Self::filter_event) calls
-    /// would, in event order. With a sharded backend the whole batch
-    /// crosses the shard fan-out once instead of once per event.
+    /// would, in event order.
     pub fn filter_events(&mut self, events: &[Arc<Event>], now: SimTime) -> Vec<Notification> {
         let per_event = self.match_batch(events);
         let mut out = Vec::new();
@@ -414,22 +313,14 @@ impl SubscriptionManager {
 
     /// One match pass over a batch, per event in arrival order.
     fn match_batch(&mut self, events: &[Arc<Event>]) -> Vec<Vec<ProfileId>> {
-        match &self.engine {
-            MatchEngine::Sharded(sharded) if events.len() > 1 => {
-                let refs: Vec<&Event> = events.iter().map(Arc::as_ref).collect();
-                sharded.matches_batch_refs(&refs)
-            }
-            _ => {
-                let mut per = Vec::with_capacity(events.len());
-                let mut matched = std::mem::take(&mut self.matched);
-                for event in events {
-                    self.engine.matches_into(event, &mut self.scratch, &mut matched);
-                    per.push(matched.clone());
-                }
-                self.matched = matched;
-                per
-            }
+        let mut per = Vec::with_capacity(events.len());
+        let mut matched = std::mem::take(&mut self.matched);
+        for event in events {
+            self.engine.matches_into(event, &mut self.scratch, &mut matched);
+            per.push(matched.clone());
         }
+        self.matched = matched;
+        per
     }
 
     /// Builds the notification for one matched profile without queueing.
@@ -828,41 +719,40 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_matches_like_single() {
-        let build = |shards| {
+    fn batch_filter_matches_per_event_filter() {
+        let build = || {
             let mut subs = SubscriptionManager::new();
             for c in 0..3u64 {
                 let text = format!(r#"host = "H{c}""#);
                 subs.subscribe(client(c), parse_profile(&text).unwrap()).unwrap();
             }
             subs.subscribe(client(9), parse_profile(r#"text ~ "*""#).unwrap()).unwrap();
-            subs.set_shards(shards);
             subs
         };
-        let events: Vec<_> = ["H0", "H1", "H2", "H9"]
+        let events: Vec<_> = ["H0", "H1", "H2", "H9", "H1"]
             .iter()
             .map(|h| event(h, "d"))
             .collect();
-        let mut single = build(1);
-        let mut sharded = build(4);
-        assert_eq!(single.shards(), 1);
-        assert_eq!(sharded.shards(), 4);
-        // Batch drain across shards, per-event drain on the single
-        // engine: byte-identical notification streams.
+        let mut per_event = build();
+        let mut batched = build();
+        // One batch pass and one call per event: identical notification
+        // streams, in event order, and identical mailboxes.
         let a: Vec<Notification> = events
             .iter()
-            .flat_map(|e| single.filter_event(e, SimTime::ZERO))
+            .flat_map(|e| per_event.filter_event(e, SimTime::ZERO))
             .collect();
-        let b = sharded.filter_events(&events, SimTime::ZERO);
+        let b = batched.filter_events(&events, SimTime::ZERO);
         assert_eq!(a, b);
-        // Single-event drains agree too.
-        assert_eq!(
-            single.filter_event(&events[0], SimTime::ZERO),
-            sharded.filter_event(&events[0], SimTime::ZERO)
-        );
-        // Unsubscribing routes to the home shard.
-        assert!(sharded.unsubscribe(ProfileId::from_raw(3)));
-        assert!(sharded.filter_events(&[event("Zzz", "d")], SimTime::ZERO).is_empty());
+        assert_eq!(a.len(), 9, "four host hits plus one wildcard hit per event");
+        for c in [0, 1, 2, 9] {
+            assert_eq!(
+                per_event.peek_notifications(client(c)),
+                batched.peek_notifications(client(c))
+            );
+        }
+        // An unsubscribed profile drops out of batch drains too.
+        assert!(batched.unsubscribe(ProfileId::from_raw(3)));
+        assert!(batched.filter_events(&[event("Zzz", "d")], SimTime::ZERO).is_empty());
     }
 
     #[test]
@@ -889,23 +779,6 @@ mod tests {
         let p3 = subs.subscribe(client(3), parse_profile(r#"host = "C""#).unwrap()).unwrap();
         assert_ne!(p3, p1);
         assert_ne!(p3, p2);
-    }
-
-    #[test]
-    fn wipe_for_crash_preserves_shard_count() {
-        let mut subs = SubscriptionManager::new();
-        subs.subscribe(client(1), parse_profile(r#"host = "A""#).unwrap()).unwrap();
-        subs.set_shards(4);
-        subs.wipe_for_crash();
-        assert_eq!(subs.shards(), 4);
-        assert!(subs.is_empty());
-        subs.restore(
-            ProfileId::from_raw(0),
-            client(1),
-            parse_profile(r#"host = "A""#).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(subs.filter_event(&event("A", "d"), SimTime::ZERO).len(), 1);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub struct System {
     attr_summaries: bool,
     rendezvous: bool,
     probe: bool,
-    filter_shards: usize,
     durability: Option<JournalConfig>,
     alert_policies: Option<AlertPolicyConfig>,
     /// The simulated disk of every durable server, held by the harness
@@ -72,35 +71,10 @@ impl System {
             attr_summaries: true,
             rendezvous: false,
             probe: true,
-            filter_shards: 1,
             durability: None,
             alert_policies: None,
             media: HashMap::new(),
         }
-    }
-
-    /// Switches the simulator between its zero-allocation hot path
-    /// (default) and the seed-equivalent cost model used as the A/B
-    /// baseline by the scale benches. Values, RNG draws and event
-    /// ordering are identical either way — only the per-message cost
-    /// differs.
-    pub fn set_seed_equivalent_path(&mut self, enabled: bool) {
-        self.sim.set_seed_equivalent_path(enabled);
-    }
-
-    /// Partitions the subscription-matching backend of every server
-    /// added *after* this call into `shards` independently matched
-    /// engines (`1`, the default, keeps the single engine). Sharding
-    /// never changes which notifications are produced; batched
-    /// deliveries drain through all shards in one fan-out. Call before
-    /// [`System::add_server`].
-    pub fn set_filter_shards(&mut self, shards: usize) {
-        self.filter_shards = shards.max(1);
-    }
-
-    /// The shard count new servers receive.
-    pub fn filter_shards(&self) -> usize {
-        self.filter_shards
     }
 
     /// Sets the default link characteristics (latency/jitter/loss).
@@ -345,9 +319,6 @@ impl System {
         actor.set_wire(self.wire.clone());
         actor.set_pruning(self.pruning);
         actor.set_rendezvous(self.rendezvous);
-        actor
-            .node_mut()
-            .set_seed_costs(self.sim.seed_equivalent_path());
         let id = self.sim.add_node(name.as_str(), actor);
         self.directory.insert(name, id);
         id
@@ -376,9 +347,6 @@ impl System {
         core.set_pruning(self.pruning);
         core.set_attr_summaries(self.attr_summaries);
         core.set_probe(self.probe);
-        if self.filter_shards > 1 {
-            core.set_filter_shards(self.filter_shards);
-        }
         if let Some(policies) = &self.alert_policies {
             core.set_alert_policies(Some(policies.clone()));
         }

@@ -134,18 +134,6 @@ pub struct FilterStats {
     pub index_entries: usize,
 }
 
-impl FilterStats {
-    /// Component-wise sum, used to aggregate shard statistics.
-    pub fn merge(self, other: FilterStats) -> FilterStats {
-        FilterStats {
-            profiles: self.profiles + other.profiles,
-            conjunctions: self.conjunctions + other.conjunctions,
-            scan_conjunctions: self.scan_conjunctions + other.scan_conjunctions,
-            index_entries: self.index_entries + other.index_entries,
-        }
-    }
-}
-
 impl fmt::Display for FilterStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -496,24 +484,6 @@ impl FilterEngine {
     /// Matches a batch of events with shared scratch state, returning one
     /// match set per event (each in ascending id order).
     pub fn matches_batch(&self, events: &[Event], scratch: &mut MatchScratch) -> Vec<Vec<ProfileId>> {
-        events
-            .iter()
-            .map(|event| {
-                let mut out = Vec::new();
-                self.matches_into(event, scratch, &mut out);
-                out
-            })
-            .collect()
-    }
-
-    /// [`FilterEngine::matches_batch`] for events held by reference —
-    /// callers that keep events behind `Arc`s (the delivery pipeline)
-    /// batch without cloning a single event.
-    pub fn matches_batch_refs(
-        &self,
-        events: &[&Event],
-        scratch: &mut MatchScratch,
-    ) -> Vec<Vec<ProfileId>> {
         events
             .iter()
             .map(|event| {
@@ -972,17 +942,6 @@ mod tests {
         let s = e.stats().to_string();
         assert!(s.contains("1 profiles"));
         assert!(e.interned_symbols() >= 5); // 4 attribute names + "London"
-    }
-
-    #[test]
-    fn stats_merge_adds_componentwise() {
-        let a = engine_with(&[(1, r#"host = "X""#)]).stats();
-        let b = engine_with(&[(2, r#"text ~ "*y*""#)]).stats();
-        let m = a.merge(b);
-        assert_eq!(m.profiles, 2);
-        assert_eq!(m.conjunctions, 2);
-        assert_eq!(m.scan_conjunctions, 1);
-        assert_eq!(m.index_entries, 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property tests: the interned engine, the string-keyed baseline, the
-//! sharded engine and the naive linear scan agree on arbitrary profiles
-//! and events — including under insert/remove churn.
+//! Property tests: the interned engine and the naive linear scan agree
+//! on arbitrary profiles and events — including under insert/remove
+//! churn — through both the per-event and the batch API.
 
-use crate::{BaselineEngine, FilterEngine, MatchScratch, NaiveFilter, ShardedFilterEngine};
+use crate::{FilterEngine, MatchScratch, NaiveFilter};
 use gsa_profile::{AttrValue, Predicate, ProfileAttr, ProfileExpr, Wildcard};
 use gsa_store::Query;
 use gsa_types::{
@@ -103,9 +103,9 @@ fn arb_event() -> impl Strategy<Value = Event> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// All four engines report exactly the same profile set for any event.
-    /// The interned engine is driven through the scratch API and the
-    /// sharded engine through the batch API, so the hot paths are the
+    /// Both engines report exactly the same profile set for any event.
+    /// The interned engine is driven through the scratch API and, with a
+    /// separate scratch, through the batch API, so the hot paths are the
     /// ones being cross-checked.
     #[test]
     fn engines_agree(
@@ -113,25 +113,21 @@ proptest! {
         events in prop::collection::vec(arb_event(), 1..8),
     ) {
         let mut fast = FilterEngine::new();
-        let mut baseline = BaselineEngine::new();
-        let mut sharded = ShardedFilterEngine::new(3);
         let mut naive = NaiveFilter::new();
         for (i, expr) in exprs.iter().enumerate() {
             let id = ProfileId::from_raw(i as u64);
             fast.insert(id, expr).unwrap();
-            baseline.insert(id, expr).unwrap();
-            sharded.insert(id, expr).unwrap();
             naive.insert(id, expr.clone());
         }
         let mut scratch = MatchScratch::new();
         let mut matched = Vec::new();
-        let sharded_results = sharded.matches_batch(&events);
-        for (event, from_sharded) in events.iter().zip(sharded_results) {
+        let batched = fast.matches_batch(&events, &mut MatchScratch::new());
+        prop_assert_eq!(batched.len(), events.len());
+        for (event, from_batch) in events.iter().zip(batched) {
             let expected = naive.matches(event);
             fast.matches_into(event, &mut scratch, &mut matched);
             prop_assert_eq!(&matched, &expected);
-            prop_assert_eq!(baseline.matches(event), expected.clone());
-            prop_assert_eq!(from_sharded, expected);
+            prop_assert_eq!(from_batch, expected);
         }
     }
 
@@ -166,8 +162,7 @@ proptest! {
     }
 
     /// Interleaved removals and re-insertions (slot reuse in the interned
-    /// engine, shard routing in the sharded one) keep all engines in
-    /// agreement with the naive reference.
+    /// engine) keep both match APIs in agreement with the naive reference.
     #[test]
     fn engines_agree_under_churn(
         exprs in prop::collection::vec(arb_expr(), 4..10),
@@ -175,14 +170,10 @@ proptest! {
         events in prop::collection::vec(arb_event(), 1..5),
     ) {
         let mut fast = FilterEngine::new();
-        let mut baseline = BaselineEngine::new();
-        let mut sharded = ShardedFilterEngine::new(2);
         let mut naive = NaiveFilter::new();
         for (i, expr) in exprs.iter().enumerate() {
             let id = ProfileId::from_raw(i as u64);
             fast.insert(id, expr).unwrap();
-            baseline.insert(id, expr).unwrap();
-            sharded.insert(id, expr).unwrap();
             naive.insert(id, expr.clone());
         }
         // Alternate removing and replacing profiles; indices may repeat so
@@ -190,26 +181,22 @@ proptest! {
         for (step, (slot, replacement)) in churn.iter().enumerate() {
             let id = ProfileId::from_raw((slot % exprs.len()) as u64);
             if step % 2 == 0 {
-                let removed = fast.remove(id);
-                prop_assert_eq!(baseline.remove(id), removed);
-                prop_assert_eq!(sharded.remove(id), removed);
-                naive.remove(id);
+                prop_assert_eq!(fast.remove(id), naive.remove(id));
             } else {
                 fast.insert(id, replacement).unwrap();
-                baseline.insert(id, replacement).unwrap();
-                sharded.insert(id, replacement).unwrap();
                 naive.insert(id, replacement.clone());
             }
         }
         prop_assert_eq!(fast.len(), naive.len());
         let mut scratch = MatchScratch::new();
         let mut matched = Vec::new();
-        for event in &events {
+        let batched = fast.matches_batch(&events, &mut MatchScratch::new());
+        prop_assert_eq!(batched.len(), events.len());
+        for (event, from_batch) in events.iter().zip(batched) {
             let expected = naive.matches(event);
             fast.matches_into(event, &mut scratch, &mut matched);
             prop_assert_eq!(&matched, &expected);
-            prop_assert_eq!(baseline.matches(event), expected.clone());
-            prop_assert_eq!(sharded.matches(event), expected);
+            prop_assert_eq!(from_batch, expected);
         }
     }
 }

@@ -15,17 +15,12 @@
 //!   [`Symbol`](intern::Symbol) pairs and the per-event counting state
 //!   lives in a reusable [`MatchScratch`], so steady-state matching does
 //!   not allocate on the indexed-equality path.
-//! * [`ShardedFilterEngine`] — the same engine partitioned by profile id
-//!   into independent shards matched in parallel with scoped threads.
-//! * [`BaselineEngine`] — the first-generation string-keyed
-//!   implementation, kept so experiment E3 can measure the interned core
-//!   against the engine it replaced.
-//! * [`NaiveFilter`] — the linear-scan baseline every profile is evaluated
+//! * [`NaiveFilter`] — the linear-scan oracle: every profile is evaluated
 //!   against every event; used by experiment E3 to show the shape of the
 //!   equality-preferred speedup.
 //!
-//! All engines agree exactly on semantics (a property test in this crate
-//! checks them against each other on randomized profiles and events).
+//! Both agree exactly on semantics (a property test in this crate checks
+//! them against each other on randomized profiles and events).
 //!
 //! # Examples
 //!
@@ -60,16 +55,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod engine;
 pub mod intern;
 pub mod naive;
-pub mod sharded;
 
-pub use baseline::BaselineEngine;
 pub use engine::{FilterEngine, FilterStats, MatchScratch};
 pub use naive::NaiveFilter;
-pub use sharded::ShardedFilterEngine;
 
 #[cfg(test)]
 mod equivalence_tests;

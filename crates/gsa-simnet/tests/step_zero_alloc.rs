@@ -207,14 +207,14 @@ fn steady_state_step_loop_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn seed_equivalent_path_allocates_per_message() {
-    // Negative control: the identical loop on the seed-equivalent cost
-    // model — string-keyed counter probes, per-message link-config
-    // clones, fresh command buffers — must allocate, proving the
-    // harness above really measures the hot loop and not an idle sim.
+fn traced_step_loop_allocates_per_message() {
+    // Negative control: the identical loop with delivery tracing on —
+    // which formats one `String` summary per delivered message — must
+    // allocate, proving the harness above really measures the hot loop
+    // and not an idle sim.
     let _window = WINDOW.lock().unwrap();
     let mut sim: Sim<u32> = Sim::new(97);
-    sim.set_seed_equivalent_path(true);
+    sim.enable_trace();
     sim.set_default_link(
         LinkConfig::new(SimDuration::from_millis(1)).with_jitter(SimDuration::from_micros(200)),
     );
@@ -242,11 +242,16 @@ fn seed_equivalent_path_allocates_per_message() {
 
     ALLOCS.store(0, Ordering::SeqCst);
     TRACKING.store(true, Ordering::SeqCst);
-    while sim.now() < SimTime::from_secs(3) && sim.step() {}
+    let mut steps = 0u64;
+    while sim.now() < SimTime::from_secs(3) && sim.step() {
+        steps += 1;
+    }
     TRACKING.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
 
+    assert!(steps > 300, "measured window too short: {steps} steps");
     assert!(
-        ALLOCS.load(Ordering::SeqCst) > 0,
-        "the seed-equivalent cost model is supposed to allocate per message"
+        allocs >= steps / 2,
+        "tracing formats one summary per delivery, yet {steps} steps allocated only {allocs} times"
     );
 }
