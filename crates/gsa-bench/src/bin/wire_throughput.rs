@@ -2,11 +2,12 @@
 //! fast path: {xml, binary} × {batch off, 8, 64} × tree sizes.
 //!
 //! Each cell floods the same event storm over the same GDS tree with
-//! the per-hop reliability layer on. The XML rows pay the paper's §6
-//! costs: every forwarded frame re-serialises the SOAP/XML message for
-//! byte accounting and deep-clones the payload tree at every hop. The
-//! binary rows freeze the payload once at the origin (encode-once),
-//! forward a ref-counted buffer, and account bytes in O(1); batching
+//! the per-hop reliability layer on. The simulator hands messages over
+//! as typed values, so neither format is serialised per hop. The XML
+//! rows build each message's XML envelope and charge its exact text
+//! length by walking the payload tree at every hop. The binary rows
+//! freeze the payload once at the origin (encode-once), forward a
+//! ref-counted buffer, and account bytes in O(1); batching
 //! additionally coalesces flood frames per edge, so a whole batch
 //! rides one reliable sequence number and is acked as a unit.
 //!
@@ -352,8 +353,19 @@ fn main() {
     }
 
     let mut table = Table::new(vec![
-        "tree", "nodes", "depth", "wire", "events", "wall-ms", "ev/s", "frames", "bytes",
-        "B/event", "flushes", "coalesced", "retx",
+        "tree",
+        "nodes",
+        "depth",
+        "wire",
+        "events",
+        "wall-ms",
+        "ev/s",
+        "frames",
+        "bytes",
+        "B/event",
+        "flushes",
+        "coalesced",
+        "retx",
     ]);
     for r in &rows {
         table.row(vec![
@@ -416,7 +428,15 @@ fn main() {
         delivery.push(probe);
     }
     let mut dtable = Table::new(vec![
-        "match%", "mode", "events", "notifs", "wall-ms", "ev/s", "skipped", "passed", "decode-err",
+        "match%",
+        "mode",
+        "events",
+        "notifs",
+        "wall-ms",
+        "ev/s",
+        "skipped",
+        "passed",
+        "decode-err",
     ]);
     for r in &delivery {
         dtable.row(vec![

@@ -6,7 +6,7 @@ use gsa_greenstone::GsMessage;
 use gsa_types::{CollectionId, CollectionName, Event};
 use gsa_wire::binary::{frame, framed_len, unframe, varint_len, write_varint, BinReader};
 use gsa_wire::codec::{collection_from_text, event_from_xml, event_to_xml};
-use gsa_wire::reliable::{reliable_to_xml, Reliable};
+use gsa_wire::reliable::{reliable_wire_size, Reliable};
 use gsa_wire::{WireError, XmlElement};
 use std::fmt;
 
@@ -95,14 +95,18 @@ fn reliable_gds_binary_size(rel: &Reliable<GdsMessage>) -> usize {
 }
 
 impl SysMessage {
-    /// The serialized size in bytes (for the simulator's byte
-    /// accounting): the v1 XML text length for text variants, the exact
-    /// v2 frame length for binary variants.
+    /// The serialized size in bytes, which the simulator charges per
+    /// send: the exact v1 XML text length for text variants and the
+    /// exact v2 frame length for binary variants. Neither format is
+    /// encoded to measure it, so the count costs the same for a
+    /// 1-document and a 50-document event. The one exception is a
+    /// payload that arrived frozen off a v2 edge and leaves on a v1 one
+    /// (a mixed-version tree): it is thawed to be measured.
     pub fn wire_size(&self) -> usize {
         match self {
             SysMessage::Gs(m) => m.wire_size(),
             SysMessage::Gds(m) => m.wire_size(),
-            SysMessage::RelGds(rel) => reliable_to_xml(rel, GdsMessage::to_xml).wire_size(),
+            SysMessage::RelGds(rel) => reliable_wire_size(rel, GdsMessage::wire_size),
             SysMessage::GdsBin(m) => m.binary_wire_size(),
             SysMessage::RelGdsBin(rel) => reliable_gds_binary_size(rel),
         }
@@ -329,14 +333,13 @@ mod tests {
         assert!(AuxPayload::from_xml(&XmlElement::new("aux-bogus").with_attr("op", "1")).is_err());
         assert!(AuxPayload::from_xml(&XmlElement::new("aux-ack")).is_err());
         assert!(AuxPayload::from_xml(&XmlElement::new("aux-plant").with_attr("op", "1")).is_err());
-        assert!(
-            AuxPayload::from_xml(&XmlElement::new("aux-event").with_attr("op", "1")).is_err()
-        );
+        assert!(AuxPayload::from_xml(&XmlElement::new("aux-event").with_attr("op", "1")).is_err());
     }
 
     #[test]
     fn sys_message_conversions_and_size() {
-        let m: SysMessage = GsMessage::Alerting(XmlElement::new("aux-ack").with_attr("op", "1")).into();
+        let m: SysMessage =
+            GsMessage::Alerting(XmlElement::new("aux-ack").with_attr("op", "1")).into();
         assert!(m.wire_size() > 0);
         assert!(m.to_string().starts_with("gs:"));
         let m: SysMessage = GdsMessage::Register {
@@ -351,7 +354,9 @@ mod tests {
         let inner = GdsMessage::Deliver {
             id: gsa_types::MessageId::from_raw(7),
             origin: "Hamilton".into(),
-            payload: XmlElement::new("event").with_attr("kind", "documents-added").into(),
+            payload: XmlElement::new("event")
+                .with_attr("kind", "documents-added")
+                .into(),
         };
         let bin = SysMessage::GdsBin(inner.clone());
         assert_eq!(bin.wire_size(), inner.to_binary().len());
@@ -382,7 +387,9 @@ mod tests {
 
     #[test]
     fn reliable_envelope_accounts_payload_bytes() {
-        let inner = GdsMessage::Register { gs_host: "h".into() };
+        let inner = GdsMessage::Register {
+            gs_host: "h".into(),
+        };
         let plain = SysMessage::Gds(inner.clone()).wire_size();
         let data = SysMessage::RelGds(Reliable::Data {
             seq: 3,

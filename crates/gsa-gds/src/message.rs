@@ -1,12 +1,12 @@
 //! GDS protocol messages and their XML encoding.
 
+use gsa_types::Event;
 use gsa_types::{HostName, MessageId};
 use gsa_wire::binary::{
     frame, framed_len, str_len, unframe, varint_len, write_str, write_varint, BinReader,
 };
 use gsa_wire::codec::event_to_xml;
 use gsa_wire::{FrozenBytes, InterestSummary, Payload, WireError, XmlElement};
-use gsa_types::Event;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -205,7 +205,26 @@ impl GdsMessage {
 
     /// Encodes the message as an XML element.
     pub fn to_xml(&self) -> XmlElement {
-        match self {
+        let (mut el, tail) = self.xml_parts();
+        match tail {
+            XmlTail::None => {}
+            XmlTail::Payload(payload) => el.push_child(payload.to_xml_element()),
+            XmlTail::Items(items) => {
+                el.reserve_children(items.len());
+                for item in items {
+                    el.push_child(item.to_xml());
+                }
+            }
+        }
+        el
+    }
+
+    /// The XML encoding in two parts: the envelope element, and what
+    /// [`to_xml`](Self::to_xml) appends to it last. Both `to_xml` and
+    /// [`wire_size`](Self::wire_size) are built on this, so the byte
+    /// count cannot drift from the text.
+    fn xml_parts(&self) -> (XmlElement, XmlTail<'_>) {
+        let envelope = match self {
             GdsMessage::Register { gs_host } => {
                 XmlElement::new("gds:register").with_attr("host", gs_host.as_str())
             }
@@ -218,9 +237,10 @@ impl GdsMessage {
             GdsMessage::UnregisterUp { gs_host } => {
                 XmlElement::new("gds:unregister-up").with_attr("host", gs_host.as_str())
             }
-            GdsMessage::Publish { id, payload } => XmlElement::new("gds:publish")
-                .with_attr("id", id.as_u64().to_string())
-                .with_child(payload.to_xml_element()),
+            GdsMessage::Publish { id, payload } => {
+                let el = XmlElement::new("gds:publish").with_attr("id", id.as_u64().to_string());
+                return (el, XmlTail::Payload(payload));
+            }
             GdsMessage::PublishTargeted {
                 id,
                 targets,
@@ -228,20 +248,19 @@ impl GdsMessage {
             } => {
                 let mut el = XmlElement::new("gds:publish-targeted")
                     .with_attr("id", id.as_u64().to_string());
-                for t in targets {
-                    el.push_child(XmlElement::new("target").with_text(t.as_str()));
-                }
-                el.push_child(payload.to_xml_element());
-                el
+                push_targets(&mut el, targets);
+                return (el, XmlTail::Payload(payload));
             }
             GdsMessage::Broadcast {
                 id,
                 origin,
                 payload,
-            } => XmlElement::new("gds:broadcast")
-                .with_attr("id", id.as_u64().to_string())
-                .with_attr("origin", origin.as_str())
-                .with_child(payload.to_xml_element()),
+            } => {
+                let el = XmlElement::new("gds:broadcast")
+                    .with_attr("id", id.as_u64().to_string())
+                    .with_attr("origin", origin.as_str());
+                return (el, XmlTail::Payload(payload));
+            }
             GdsMessage::Route {
                 id,
                 origin,
@@ -251,20 +270,19 @@ impl GdsMessage {
                 let mut el = XmlElement::new("gds:route")
                     .with_attr("id", id.as_u64().to_string())
                     .with_attr("origin", origin.as_str());
-                for t in targets {
-                    el.push_child(XmlElement::new("target").with_text(t.as_str()));
-                }
-                el.push_child(payload.to_xml_element());
-                el
+                push_targets(&mut el, targets);
+                return (el, XmlTail::Payload(payload));
             }
             GdsMessage::Deliver {
                 id,
                 origin,
                 payload,
-            } => XmlElement::new("gds:deliver")
-                .with_attr("id", id.as_u64().to_string())
-                .with_attr("origin", origin.as_str())
-                .with_child(payload.to_xml_element()),
+            } => {
+                let el = XmlElement::new("gds:deliver")
+                    .with_attr("id", id.as_u64().to_string())
+                    .with_attr("origin", origin.as_str());
+                return (el, XmlTail::Payload(payload));
+            }
             GdsMessage::Resolve {
                 token,
                 name,
@@ -301,12 +319,7 @@ impl GdsMessage {
                 XmlElement::new("gds:hello-ack").with_attr("version", version.to_string())
             }
             GdsMessage::Batch(items) => {
-                let mut el = XmlElement::new("gds:batch");
-                el.reserve_children(items.len());
-                for item in items {
-                    el.push_child(item.to_xml());
-                }
-                el
+                return (XmlElement::new("gds:batch"), XmlTail::Items(items));
             }
             GdsMessage::SummaryUpdate {
                 from,
@@ -335,7 +348,8 @@ impl GdsMessage {
                 }
                 el
             }
-        }
+        };
+        (envelope, XmlTail::None)
     }
 
     /// Decodes a message from the element produced by
@@ -381,13 +395,19 @@ impl GdsMessage {
                 .collect()
         };
         match el.name() {
-            "gds:register" => Ok(GdsMessage::Register { gs_host: host("host")? }),
-            "gds:unregister" => Ok(GdsMessage::Unregister { gs_host: host("host")? }),
+            "gds:register" => Ok(GdsMessage::Register {
+                gs_host: host("host")?,
+            }),
+            "gds:unregister" => Ok(GdsMessage::Unregister {
+                gs_host: host("host")?,
+            }),
             "gds:register-up" => Ok(GdsMessage::RegisterUp {
                 gs_host: host("host")?,
                 via: host("via")?,
             }),
-            "gds:unregister-up" => Ok(GdsMessage::UnregisterUp { gs_host: host("host")? }),
+            "gds:unregister-up" => Ok(GdsMessage::UnregisterUp {
+                gs_host: host("host")?,
+            }),
             "gds:publish" => Ok(GdsMessage::Publish {
                 id: id()?,
                 payload: payload()?,
@@ -425,12 +445,22 @@ impl GdsMessage {
             }),
             "gds:heartbeat" => Ok(GdsMessage::Heartbeat),
             "gds:heartbeat-ack" => Ok(GdsMessage::HeartbeatAck),
-            "gds:adopt" => Ok(GdsMessage::Adopt { child: host("child")? }),
-            "gds:detach" => Ok(GdsMessage::Detach { child: host("child")? }),
-            "gds:hello" => Ok(GdsMessage::Hello { version: version()? }),
-            "gds:hello-ack" => Ok(GdsMessage::HelloAck { version: version()? }),
+            "gds:adopt" => Ok(GdsMessage::Adopt {
+                child: host("child")?,
+            }),
+            "gds:detach" => Ok(GdsMessage::Detach {
+                child: host("child")?,
+            }),
+            "gds:hello" => Ok(GdsMessage::Hello {
+                version: version()?,
+            }),
+            "gds:hello-ack" => Ok(GdsMessage::HelloAck {
+                version: version()?,
+            }),
             "gds:batch" => Ok(GdsMessage::Batch(
-                el.elements().map(GdsMessage::from_xml).collect::<Result<_, _>>()?,
+                el.elements()
+                    .map(GdsMessage::from_xml)
+                    .collect::<Result<_, _>>()?,
             )),
             "gds:summary" => Ok(GdsMessage::SummaryUpdate {
                 from: host("from")?,
@@ -461,13 +491,23 @@ impl GdsMessage {
                     grants,
                 })
             }
-            other => Err(WireError::malformed(format!("unknown GDS message <{other}>"))),
+            other => Err(WireError::malformed(format!(
+                "unknown GDS message <{other}>"
+            ))),
         }
     }
 
-    /// The serialized size in bytes of the v1 XML text encoding.
+    /// The exact size in bytes of the v1 XML text encoding, equal to
+    /// `to_xml().to_xml_string().len()`. The envelope is measured by
+    /// walking it and the payload by [`Payload::xml_wire_size`], so the
+    /// payload tree is neither cloned nor serialised to count it.
     pub fn wire_size(&self) -> usize {
-        self.to_xml().wire_size()
+        let (el, tail) = self.xml_parts();
+        el.wire_size_with_tail(match tail {
+            XmlTail::None => 0,
+            XmlTail::Payload(payload) => payload.xml_wire_size(),
+            XmlTail::Items(items) => items.iter().map(GdsMessage::wire_size).sum(),
+        })
     }
 
     /// Encodes the message as a wire-format-v2 binary frame.
@@ -657,9 +697,7 @@ impl GdsMessage {
             GdsMessage::RegisterUp { gs_host, via } => {
                 str_len(gs_host.as_str()) + str_len(via.as_str())
             }
-            GdsMessage::Publish { id, payload } => {
-                varint_len(id.as_u64()) + payload.binary_size()
-            }
+            GdsMessage::Publish { id, payload } => varint_len(id.as_u64()) + payload.binary_size(),
             GdsMessage::PublishTargeted {
                 id,
                 targets,
@@ -702,9 +740,7 @@ impl GdsMessage {
                     + result.as_ref().map_or(0, |r| str_len(r.as_str()))
             }
             GdsMessage::Heartbeat | GdsMessage::HeartbeatAck => 0,
-            GdsMessage::Adopt { child } | GdsMessage::Detach { child } => {
-                str_len(child.as_str())
-            }
+            GdsMessage::Adopt { child } | GdsMessage::Detach { child } => str_len(child.as_str()),
             GdsMessage::Hello { .. } | GdsMessage::HelloAck { .. } => 1,
             GdsMessage::Batch(items) => {
                 varint_len(items.len() as u64)
@@ -757,13 +793,19 @@ impl GdsMessage {
             Ok(hosts)
         };
         match r.read_u8()? {
-            opcode::REGISTER => Ok(GdsMessage::Register { gs_host: read_host(r)? }),
-            opcode::UNREGISTER => Ok(GdsMessage::Unregister { gs_host: read_host(r)? }),
+            opcode::REGISTER => Ok(GdsMessage::Register {
+                gs_host: read_host(r)?,
+            }),
+            opcode::UNREGISTER => Ok(GdsMessage::Unregister {
+                gs_host: read_host(r)?,
+            }),
             opcode::REGISTER_UP => Ok(GdsMessage::RegisterUp {
                 gs_host: read_host(r)?,
                 via: read_host(r)?,
             }),
-            opcode::UNREGISTER_UP => Ok(GdsMessage::UnregisterUp { gs_host: read_host(r)? }),
+            opcode::UNREGISTER_UP => Ok(GdsMessage::UnregisterUp {
+                gs_host: read_host(r)?,
+            }),
             opcode::PUBLISH => Ok(GdsMessage::Publish {
                 id: MessageId::from_raw(r.read_varint()?),
                 payload: read_payload(r)?,
@@ -809,10 +851,18 @@ impl GdsMessage {
             }),
             opcode::HEARTBEAT => Ok(GdsMessage::Heartbeat),
             opcode::HEARTBEAT_ACK => Ok(GdsMessage::HeartbeatAck),
-            opcode::ADOPT => Ok(GdsMessage::Adopt { child: read_host(r)? }),
-            opcode::DETACH => Ok(GdsMessage::Detach { child: read_host(r)? }),
-            opcode::HELLO => Ok(GdsMessage::Hello { version: r.read_u8()? }),
-            opcode::HELLO_ACK => Ok(GdsMessage::HelloAck { version: r.read_u8()? }),
+            opcode::ADOPT => Ok(GdsMessage::Adopt {
+                child: read_host(r)?,
+            }),
+            opcode::DETACH => Ok(GdsMessage::Detach {
+                child: read_host(r)?,
+            }),
+            opcode::HELLO => Ok(GdsMessage::Hello {
+                version: r.read_u8()?,
+            }),
+            opcode::HELLO_ACK => Ok(GdsMessage::HelloAck {
+                version: r.read_u8()?,
+            }),
             opcode::BATCH => {
                 let n = r.read_varint()? as usize;
                 let mut items = Vec::with_capacity(n.min(256));
@@ -876,6 +926,20 @@ mod opcode {
     pub const RENDEZVOUS_GRANT: u8 = 19;
 }
 
+/// What [`GdsMessage::to_xml`] appends after the envelope's own
+/// children.
+enum XmlTail<'a> {
+    None,
+    Payload(&'a Payload),
+    Items(&'a [GdsMessage]),
+}
+
+fn push_targets(el: &mut XmlElement, targets: &[HostName]) {
+    for t in targets {
+        el.push_child(XmlElement::new("target").with_text(t.as_str()));
+    }
+}
+
 fn write_hosts(buf: &mut Vec<u8>, hosts: &[HostName]) {
     write_varint(buf, hosts.len() as u64);
     for h in hosts {
@@ -889,7 +953,7 @@ fn hosts_len(hosts: &[HostName]) -> usize {
 
 impl fmt::Display for GdsMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.to_xml().name())
+        f.write_str(self.xml_parts().0.name())
     }
 }
 
@@ -906,13 +970,19 @@ mod tests {
 
     #[test]
     fn registration_messages_round_trip() {
-        round_trip(GdsMessage::Register { gs_host: "Hamilton".into() });
-        round_trip(GdsMessage::Unregister { gs_host: "Hamilton".into() });
+        round_trip(GdsMessage::Register {
+            gs_host: "Hamilton".into(),
+        });
+        round_trip(GdsMessage::Unregister {
+            gs_host: "Hamilton".into(),
+        });
         round_trip(GdsMessage::RegisterUp {
             gs_host: "Hamilton".into(),
             via: "gds-4".into(),
         });
-        round_trip(GdsMessage::UnregisterUp { gs_host: "Hamilton".into() });
+        round_trip(GdsMessage::UnregisterUp {
+            gs_host: "Hamilton".into(),
+        });
     }
 
     #[test]
@@ -993,15 +1063,23 @@ mod tests {
 
     #[test]
     fn deliver_event_on_wrong_variant_errors() {
-        assert!(GdsMessage::Register { gs_host: "x".into() }.deliver_event().is_err());
+        assert!(GdsMessage::Register {
+            gs_host: "x".into()
+        }
+        .deliver_event()
+        .is_err());
     }
 
     #[test]
     fn maintenance_messages_round_trip() {
         round_trip(GdsMessage::Heartbeat);
         round_trip(GdsMessage::HeartbeatAck);
-        round_trip(GdsMessage::Adopt { child: "gds-5".into() });
-        round_trip(GdsMessage::Detach { child: "gds-5".into() });
+        round_trip(GdsMessage::Adopt {
+            child: "gds-5".into(),
+        });
+        round_trip(GdsMessage::Detach {
+            child: "gds-5".into(),
+        });
     }
 
     #[test]
@@ -1079,7 +1157,9 @@ mod tests {
             GdsMessage::Broadcast {
                 id: MessageId::from_raw(1),
                 origin: "Hamilton".into(),
-                payload: XmlElement::new("event").with_attr("kind", "documents-added").into(),
+                payload: XmlElement::new("event")
+                    .with_attr("kind", "documents-added")
+                    .into(),
             },
             GdsMessage::Heartbeat,
             GdsMessage::Deliver {
@@ -1101,15 +1181,23 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips_in_binary() {
-        let payload: Payload = XmlElement::new("event").with_attr("kind", "documents-added").into();
+        let payload: Payload = XmlElement::new("event")
+            .with_attr("kind", "documents-added")
+            .into();
         for msg in [
-            GdsMessage::Register { gs_host: "Hamilton".into() },
-            GdsMessage::Unregister { gs_host: "Hamilton".into() },
+            GdsMessage::Register {
+                gs_host: "Hamilton".into(),
+            },
+            GdsMessage::Unregister {
+                gs_host: "Hamilton".into(),
+            },
             GdsMessage::RegisterUp {
                 gs_host: "Hamilton".into(),
                 via: "gds-4".into(),
             },
-            GdsMessage::UnregisterUp { gs_host: "Hamilton".into() },
+            GdsMessage::UnregisterUp {
+                gs_host: "Hamilton".into(),
+            },
             GdsMessage::Publish {
                 id: MessageId::from_raw(1),
                 payload: payload.clone(),
@@ -1152,8 +1240,12 @@ mod tests {
             },
             GdsMessage::Heartbeat,
             GdsMessage::HeartbeatAck,
-            GdsMessage::Adopt { child: "gds-5".into() },
-            GdsMessage::Detach { child: "gds-5".into() },
+            GdsMessage::Adopt {
+                child: "gds-5".into(),
+            },
+            GdsMessage::Detach {
+                child: "gds-5".into(),
+            },
             GdsMessage::Hello { version: 2 },
             GdsMessage::HelloAck { version: 2 },
             GdsMessage::SummaryUpdate {

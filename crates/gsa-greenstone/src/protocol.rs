@@ -182,7 +182,18 @@ impl GsMessage {
 
     /// Encodes the message as an XML element.
     pub fn to_xml(&self) -> XmlElement {
-        match self {
+        let (mut el, payload) = self.xml_parts();
+        if let Some(payload) = payload {
+            el.push_child(payload.clone());
+        }
+        el
+    }
+
+    /// The XML encoding in two parts: the envelope element, and the
+    /// alerting payload [`to_xml`](Self::to_xml) appends to it. Both
+    /// `to_xml` and [`wire_size`](Self::wire_size) are built on this.
+    fn xml_parts(&self) -> (XmlElement, Option<&XmlElement>) {
+        let envelope = match self {
             GsMessage::DescribeRequest {
                 request,
                 collection,
@@ -276,9 +287,10 @@ impl GsMessage {
                 el
             }
             GsMessage::Alerting(payload) => {
-                XmlElement::new("gs:alerting").with_child(payload.clone())
+                return (XmlElement::new("gs:alerting"), Some(payload));
             }
-        }
+        };
+        (envelope, None)
     }
 
     /// Decodes a message from the element produced by
@@ -302,10 +314,11 @@ impl GsMessage {
             "gs:describe-response" => {
                 let result = match el.child("info") {
                     Some(info) => Ok(info_from_xml(info)?),
-                    None => Err(error_from_xml(
-                        el.child("error")
-                            .ok_or_else(|| WireError::malformed("missing info or error"))?,
-                    )?),
+                    None => {
+                        Err(error_from_xml(el.child("error").ok_or_else(|| {
+                            WireError::malformed("missing info or error")
+                        })?)?)
+                    }
                 };
                 Ok(GsMessage::DescribeResponse {
                     request: request()?,
@@ -382,19 +395,24 @@ impl GsMessage {
                     .ok_or_else(|| WireError::malformed("empty alerting payload"))?;
                 Ok(GsMessage::Alerting(payload))
             }
-            other => Err(WireError::malformed(format!("unknown GS message <{other}>"))),
+            other => Err(WireError::malformed(format!(
+                "unknown GS message <{other}>"
+            ))),
         }
     }
 
-    /// The serialized size in bytes, for the simulator's byte accounting.
+    /// The exact serialized size in bytes, for the simulator's byte
+    /// accounting. The alerting payload is measured in place, not cloned
+    /// into the envelope.
     pub fn wire_size(&self) -> usize {
-        self.to_xml().wire_size()
+        let (el, payload) = self.xml_parts();
+        el.wire_size_with_tail(payload.map_or(0, XmlElement::wire_size))
     }
 }
 
 impl fmt::Display for GsMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.to_xml().name())
+        f.write_str(self.xml_parts().0.name())
     }
 }
 
@@ -638,7 +656,10 @@ mod tests {
 
     #[test]
     fn missing_request_id_errors() {
-        assert!(GsMessage::from_xml(&XmlElement::new("gs:describe").with_attr("collection", "D")).is_err());
+        assert!(
+            GsMessage::from_xml(&XmlElement::new("gs:describe").with_attr("collection", "D"))
+                .is_err()
+        );
     }
 
     #[test]

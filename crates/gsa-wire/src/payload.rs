@@ -117,6 +117,17 @@ impl Payload {
         payload_xml_from_bytes(bin).unwrap_or_else(|_| XmlElement::new("invalid-payload"))
     }
 
+    /// The length of the payload's v1 XML text, equal to
+    /// `to_xml_element().wire_size()` without cloning the tree. Only a
+    /// frozen-only payload (received off a v2 edge) is thawed to
+    /// measure it.
+    pub fn xml_wire_size(&self) -> usize {
+        match &self.xml {
+            Some(xml) => xml.wire_size(),
+            None => self.to_xml_element().wire_size(),
+        }
+    }
+
     /// Decodes the payload as an alerting event. On frozen payloads
     /// this is the lazy-decode fast path: the native binary codec runs
     /// directly and no XML tree is built.

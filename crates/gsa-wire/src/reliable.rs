@@ -57,13 +57,30 @@ pub fn reliable_to_xml<M>(
     rel: &Reliable<M>,
     payload_to_xml: impl Fn(&M) -> XmlElement,
 ) -> XmlElement {
-    match rel {
-        Reliable::Data { seq, payload } => XmlElement::new("rel-data")
-            .with_attr("seq", seq.to_string())
-            .with_child(payload_to_xml(payload)),
-        Reliable::Ack { seq } => XmlElement::new("rel-ack").with_attr("seq", seq.to_string()),
-        Reliable::Nack { seq } => XmlElement::new("rel-nack").with_attr("seq", seq.to_string()),
+    let (mut el, payload) = reliable_envelope(rel);
+    if let Some(payload) = payload {
+        el.push_child(payload_to_xml(payload));
     }
+    el
+}
+
+/// The exact length of [`reliable_to_xml`]'s text, using
+/// `payload_wire_size` for the payload's length instead of encoding it.
+pub fn reliable_wire_size<M>(rel: &Reliable<M>, payload_wire_size: impl Fn(&M) -> usize) -> usize {
+    let (el, payload) = reliable_envelope(rel);
+    el.wire_size_with_tail(payload.map_or(0, payload_wire_size))
+}
+
+/// The envelope element, and the payload that [`reliable_to_xml`]
+/// appends to it as its only child.
+fn reliable_envelope<M>(rel: &Reliable<M>) -> (XmlElement, Option<&M>) {
+    let (name, payload) = match rel {
+        Reliable::Data { payload, .. } => ("rel-data", Some(payload)),
+        Reliable::Ack { .. } => ("rel-ack", None),
+        Reliable::Nack { .. } => ("rel-nack", None),
+    };
+    let el = XmlElement::new(name).with_attr("seq", rel.seq().to_string());
+    (el, payload)
 }
 
 /// Decodes an envelope, using `payload_from_xml` for the payload.
@@ -297,8 +314,7 @@ impl<M: Clone> RetransmitQueue<M> {
         x ^= x >> 7;
         x ^= x << 17;
         self.rng_state = x;
-        let unit = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64
-            / (1u64 << 53) as f64; // uniform [0, 1)
+        let unit = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64; // uniform [0, 1)
         let factor = 1.0 + self.policy.jitter * (2.0 * unit - 1.0);
         SimDuration::from_micros((interval.as_micros() as f64 * factor).max(1.0) as u64)
     }
@@ -322,12 +338,8 @@ mod tests {
     #[test]
     fn envelope_round_trips_through_xml() {
         let codec_to = |m: &String| XmlElement::new("p").with_attr("v", m.clone());
-        let codec_from = |el: &XmlElement| {
-            Ok(el
-                .attr("v")
-                .map(ToOwned::to_owned)
-                .unwrap_or_default())
-        };
+        let codec_from =
+            |el: &XmlElement| Ok(el.attr("v").map(ToOwned::to_owned).unwrap_or_default());
         for rel in [
             Reliable::Data {
                 seq: 7,

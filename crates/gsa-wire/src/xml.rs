@@ -201,10 +201,39 @@ impl XmlElement {
         out.push('>');
     }
 
-    /// The size in bytes of the serialized form; used by the simulator's
-    /// bandwidth accounting.
+    /// The exact length in bytes of [`to_xml_string`](Self::to_xml_string),
+    /// computed by walking the tree: no `String` is built and nothing is
+    /// allocated. This is what the simulator charges a v1 message.
     pub fn wire_size(&self) -> usize {
-        self.to_xml_string().len()
+        self.wire_size_with_tail(0)
+    }
+
+    /// The serialised length this element would have with `tail` more
+    /// bytes of child markup appended after its own children. `tail`
+    /// is the summed [`wire_size`](Self::wire_size) of the appended
+    /// children; a child is never empty, so `0` means none. Message
+    /// codecs that append a payload last use this to charge the payload
+    /// without cloning it into the tree.
+    pub fn wire_size_with_tail(&self, tail: usize) -> usize {
+        let open = 1
+            + self.name.len()
+            + self
+                .attrs
+                .iter()
+                .map(|(n, v)| n.len() + escaped_len(v, true) + 4)
+                .sum::<usize>();
+        if self.children.is_empty() && tail == 0 {
+            return open + 2;
+        }
+        let content = self
+            .children
+            .iter()
+            .map(|node| match node {
+                XmlNode::Element(e) => e.wire_size(),
+                XmlNode::Text(t) => escaped_len(t, false),
+            })
+            .sum::<usize>();
+        open + 1 + content + tail + 2 + self.name.len() + 1
     }
 }
 
@@ -214,16 +243,40 @@ impl fmt::Display for XmlElement {
     }
 }
 
+/// The escape rule shared by the writer and [`XmlElement::wire_size`]:
+/// the entity that replaces byte `b`, if any. Every escaped character
+/// is ASCII, so multibyte UTF-8 sequences pass through untouched and
+/// splitting a `&str` at these bytes stays on character boundaries.
+#[inline]
+fn entity(b: u8, in_attr: bool) -> Option<&'static str> {
+    match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        b'"' if in_attr => Some("&quot;"),
+        _ => None,
+    }
+}
+
 fn escape_into(s: &str, in_attr: bool, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' if in_attr => out.push_str("&quot;"),
-            c => out.push(c),
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b, in_attr) {
+            out.push_str(&s[start..i]);
+            out.push_str(e);
+            start = i + 1;
         }
     }
+    out.push_str(&s[start..]);
+}
+
+/// The length of `s` once escaped by [`escape_into`].
+fn escaped_len(s: &str, in_attr: bool) -> usize {
+    s.len()
+        + s.bytes()
+            .filter_map(|b| entity(b, in_attr))
+            .map(|e| e.len() - 1)
+            .sum::<usize>()
 }
 
 /// An error produced while parsing an XML document.
@@ -281,7 +334,10 @@ pub fn parse_document(input: &str) -> Result<XmlElement, WireError> {
     let root = parser.parse_element()?;
     parser.skip_misc()?;
     if parser.pos != parser.input.len() {
-        return Err(WireError::new("trailing content after root element", parser.pos));
+        return Err(WireError::new(
+            "trailing content after root element",
+            parser.pos,
+        ));
     }
     Ok(root)
 }
@@ -313,10 +369,7 @@ impl<'a> Parser<'a> {
     fn skip_prolog(&mut self) -> Result<(), WireError> {
         self.skip_ws();
         if self.starts_with("<?xml") {
-            match self.input[self.pos..]
-                .windows(2)
-                .position(|w| w == b"?>")
-            {
+            match self.input[self.pos..].windows(2).position(|w| w == b"?>") {
                 Some(rel) => self.bump(rel + 2),
                 None => return Err(WireError::new("unterminated XML declaration", self.pos)),
             }
@@ -391,13 +444,18 @@ impl<'a> Parser<'a> {
                     let attr_name = self.parse_name()?;
                     self.skip_ws();
                     if self.peek() != Some(b'=') {
-                        return Err(WireError::new("expected '=' after attribute name", self.pos));
+                        return Err(WireError::new(
+                            "expected '=' after attribute name",
+                            self.pos,
+                        ));
                     }
                     self.bump(1);
                     self.skip_ws();
                     let quote = match self.peek() {
                         Some(q @ (b'"' | b'\'')) => q,
-                        _ => return Err(WireError::new("expected quoted attribute value", self.pos)),
+                        _ => {
+                            return Err(WireError::new("expected quoted attribute value", self.pos))
+                        }
                     };
                     self.bump(1);
                     let value_start = self.pos;
@@ -436,7 +494,10 @@ impl<'a> Parser<'a> {
                 }
                 self.skip_ws();
                 if self.peek() != Some(b'>') {
-                    return Err(WireError::new("expected '>' after closing tag name", self.pos));
+                    return Err(WireError::new(
+                        "expected '>' after closing tag name",
+                        self.pos,
+                    ));
                 }
                 self.bump(1);
                 return Ok(element);
@@ -474,8 +535,8 @@ impl<'a> Parser<'a> {
 }
 
 fn unescape(raw: &[u8], offset: usize) -> Result<String, WireError> {
-    let s = std::str::from_utf8(raw)
-        .map_err(|_| WireError::new("invalid UTF-8 in content", offset))?;
+    let s =
+        std::str::from_utf8(raw).map_err(|_| WireError::new("invalid UTF-8 in content", offset))?;
     if !s.contains('&') {
         return Ok(s.to_owned());
     }
@@ -599,8 +660,67 @@ mod tests {
 
     #[test]
     fn wire_size_matches_serialized_length() {
-        let el = XmlElement::new("t").with_text("abc");
-        assert_eq!(el.wire_size(), el.to_xml_string().len());
+        let mixed = XmlElement::new("a")
+            .with_attr("q", "\"&\"")
+            .with_text("x<y")
+            .with_child(XmlElement::new("b").with_child(XmlElement::new("c")))
+            .with_text("tail ✓");
+        for el in [XmlElement::new("t").with_text("abc"), mixed] {
+            assert_eq!(el.wire_size(), el.to_xml_string().len());
+        }
+    }
+
+    #[test]
+    fn wire_size_of_self_closing_elements() {
+        for el in [
+            XmlElement::new("e"),
+            XmlElement::new("gds:heartbeat"),
+            XmlElement::new("e").with_attr("a", ""),
+            XmlElement::new("e")
+                .with_attr("k", "x\"<&>'")
+                .with_attr("m", "Māori — ünïcödé"),
+        ] {
+            let s = el.to_xml_string();
+            assert!(s.ends_with("/>"), "{s}");
+            assert_eq!(el.wire_size(), s.len(), "{s}");
+        }
+    }
+
+    #[test]
+    fn wire_size_of_text_only_elements() {
+        for text in [
+            "",
+            "plain",
+            "a<b&c>d\"e'",
+            "日本語 & <ü>",
+            "&&&&",
+            "\"quoted\"",
+        ] {
+            let el = XmlElement::new("t").with_text(text);
+            let s = el.to_xml_string();
+            assert_eq!(el.wire_size(), s.len(), "{s}");
+        }
+        let runs = XmlElement::new("t").with_text("<a>").with_text("€&");
+        assert_eq!(runs.wire_size(), runs.to_xml_string().len());
+    }
+
+    #[test]
+    fn wire_size_with_tail_counts_appended_children() {
+        let child = XmlElement::new("payload")
+            .with_attr("k", "<v>")
+            .with_text("t&");
+        for envelope in [
+            XmlElement::new("env"),
+            XmlElement::new("env").with_attr("id", "7"),
+            XmlElement::new("env").with_child(XmlElement::new("target").with_text("London")),
+        ] {
+            assert_eq!(envelope.wire_size_with_tail(0), envelope.wire_size());
+            let whole = envelope.clone().with_child(child.clone());
+            assert_eq!(
+                envelope.wire_size_with_tail(child.wire_size()),
+                whole.to_xml_string().len()
+            );
+        }
     }
 
     #[test]

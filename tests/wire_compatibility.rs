@@ -5,12 +5,15 @@
 //! either wire yields the same thing, and the format-aware size
 //! accounting matches the bytes actually produced.
 
+use gsa_core::message::reliable_gds_to_binary;
+use gsa_core::{AuxPayload, SysMessage};
 use gsa_gds::{GdsMessage, ResolveToken};
-use gsa_greenstone::{GsMessage, RequestId};
+use gsa_greenstone::protocol::FetchedDoc;
+use gsa_greenstone::{CollectionInfo, GsError, GsMessage, RequestId, SearchHit};
 use gsa_profile::{parse_profile, xml::expr_from_xml, xml::expr_to_xml};
-use gsa_store::Query;
+use gsa_store::{Query, SourceDocument};
 use gsa_types::{
-    keys, CollectionId, DocSummary, Event, EventId, EventKind, HostName, MessageId,
+    keys, CollectionId, DocSummary, DocumentRef, Event, EventId, EventKind, HostName, MessageId,
     MetadataRecord, SimTime,
 };
 use gsa_wire::binary::{
@@ -18,13 +21,16 @@ use gsa_wire::binary::{
     metadata_to_binary, BinReader,
 };
 use gsa_wire::codec::{event_from_xml, event_to_xml};
-use gsa_wire::{Envelope, WireFormat};
+use gsa_wire::reliable::reliable_to_xml;
+use gsa_wire::{Envelope, FrozenBytes, InterestSummary, Payload, Reliable, WireFormat, XmlElement};
 use proptest::prelude::*;
 
 fn through_envelope(body: gsa_wire::XmlElement) -> gsa_wire::XmlElement {
     let env = Envelope::new(MessageId::from_raw(9), HostName::new("sender"), body);
     let text = env.encode();
-    Envelope::decode(&text).expect("envelope decodes").into_body()
+    Envelope::decode(&text)
+        .expect("envelope decodes")
+        .into_body()
 }
 
 #[test]
@@ -238,8 +244,11 @@ fn sim_byte_accounting_matches_actual_encodings() {
         EventKind::DocumentsAdded,
         SimTime::from_millis(40),
     )
-    .with_docs(vec![DocSummary::new("doc-1")
-        .with_metadata([(keys::TITLE, "On Digital Libraries")].into_iter().collect())]);
+    .with_docs(vec![DocSummary::new("doc-1").with_metadata(
+        [(keys::TITLE, "On Digital Libraries")]
+            .into_iter()
+            .collect(),
+    )]);
     let messages = vec![
         GdsMessage::publish_event(MessageId::from_raw(1), &event),
         GdsMessage::Register {
@@ -266,5 +275,289 @@ fn sim_byte_accounting_matches_actual_encodings() {
         // And both wires carry the same message.
         assert_eq!(GdsMessage::from_binary(&msg.to_binary()).unwrap(), msg);
         assert_eq!(GdsMessage::from_xml(&msg.to_xml()).unwrap(), msg);
+    }
+}
+
+/// Text drawn for the exactness property: every character the XML
+/// writer escapes (`<`, `>`, `&`, `"`), one it leaves alone (`'`), and
+/// two- and three-byte UTF-8.
+const NASTY_TEXT: &str = "[a-zA-Z0-9 <>&\"'éü€日]{0,10}";
+
+/// The bytes the wire actually carries for `msg`: the serialised XML
+/// text for the text variants (with the reliable envelope around
+/// `RelGds`), the v2 frame for the binary ones.
+fn encoded_len(msg: &SysMessage) -> usize {
+    match msg {
+        SysMessage::Gs(m) => m.to_xml().to_xml_string().len(),
+        SysMessage::Gds(m) => m.to_xml().to_xml_string().len(),
+        SysMessage::RelGds(rel) => reliable_to_xml(rel, GdsMessage::to_xml)
+            .to_xml_string()
+            .len(),
+        SysMessage::GdsBin(m) => m.to_binary().len(),
+        SysMessage::RelGdsBin(rel) => reliable_gds_to_binary(rel).len(),
+    }
+}
+
+/// Every payload representation a GDS message can carry: an XML tree
+/// (an event, and a generic element that takes the v2 fallback
+/// codec), the same trees frozen, frozen-only as received off a v2
+/// edge, and frozen bytes that do not decode.
+fn payload_variants(event: &Event, text: &str) -> Vec<Payload> {
+    let generic = XmlElement::new("blob")
+        .with_attr("note", text)
+        .with_text(text)
+        .with_child(XmlElement::new("inner").with_attr("k", text));
+    let mut out = Vec::new();
+    for el in [event_to_xml(event), generic] {
+        let plain = Payload::from(el);
+        let mut frozen = plain.clone();
+        frozen.freeze();
+        let frozen_only = Payload::from_frozen(frozen.frozen().unwrap().clone());
+        out.extend([plain, frozen, frozen_only]);
+    }
+    out.push(Payload::from_frozen(FrozenBytes::new(vec![0xEE, 0x01])));
+    out
+}
+
+fn gds_variants(w: &[String], id: u64, targets: &[HostName], event: &Event) -> Vec<GdsMessage> {
+    let host = |i: usize| HostName::new(w[i % w.len()].as_str());
+    let mut out = Vec::new();
+    for payload in payload_variants(event, &w[3]) {
+        let id = MessageId::from_raw(id);
+        out.extend([
+            GdsMessage::Publish {
+                id,
+                payload: payload.clone(),
+            },
+            GdsMessage::PublishTargeted {
+                id,
+                targets: targets.to_vec(),
+                payload: payload.clone(),
+            },
+            GdsMessage::PublishTargeted {
+                id,
+                targets: Vec::new(),
+                payload: payload.clone(),
+            },
+            GdsMessage::Broadcast {
+                id,
+                origin: host(0),
+                payload: payload.clone(),
+            },
+            GdsMessage::Route {
+                id,
+                origin: host(1),
+                targets: targets.to_vec(),
+                payload: payload.clone(),
+            },
+            GdsMessage::Route {
+                id,
+                origin: host(1),
+                targets: Vec::new(),
+                payload: payload.clone(),
+            },
+            GdsMessage::Deliver {
+                id,
+                origin: host(2),
+                payload,
+            },
+        ]);
+    }
+    let mut summary = InterestSummary::empty();
+    summary.add_host(w[0].as_str());
+    summary.add_collection(w[1].as_str());
+    summary.constrain_attr("kind", [w[2].clone()]);
+    let grants = [(
+        w[3].clone(),
+        [w[0].clone(), w[1].clone()].into_iter().collect(),
+    )]
+    .into_iter()
+    .collect();
+    out.extend([
+        GdsMessage::Register { gs_host: host(0) },
+        GdsMessage::Unregister { gs_host: host(1) },
+        GdsMessage::RegisterUp {
+            gs_host: host(2),
+            via: host(3),
+        },
+        GdsMessage::UnregisterUp { gs_host: host(0) },
+        GdsMessage::Resolve {
+            token: ResolveToken(id),
+            name: host(1),
+            reply_to: host(2),
+        },
+        GdsMessage::ResolveResponse {
+            token: ResolveToken(id),
+            name: host(1),
+            result: Some(host(3)),
+        },
+        GdsMessage::ResolveResponse {
+            token: ResolveToken(id),
+            name: host(1),
+            result: None,
+        },
+        GdsMessage::Heartbeat,
+        GdsMessage::HeartbeatAck,
+        GdsMessage::Adopt { child: host(2) },
+        GdsMessage::Detach { child: host(3) },
+        GdsMessage::Hello { version: 2 },
+        GdsMessage::HelloAck { version: 1 },
+        GdsMessage::SummaryUpdate {
+            from: host(0),
+            version: id,
+            summary,
+        },
+        GdsMessage::SummaryUpdate {
+            from: host(0),
+            version: id,
+            summary: InterestSummary::wildcard(),
+        },
+        GdsMessage::RendezvousGrant {
+            from: host(1),
+            version: id,
+            grants,
+        },
+        GdsMessage::Batch(Vec::new()),
+    ]);
+    out.push(GdsMessage::Batch(out[..8].to_vec()));
+    out
+}
+
+fn gs_variants(w: &[String], id: u64, event: &Event) -> Vec<GsMessage> {
+    let collection = CollectionId::new(w[0].as_str(), w[1].as_str());
+    let md: MetadataRecord = [(keys::TITLE, w[2].as_str())].into_iter().collect();
+    let info = CollectionInfo {
+        id: collection.clone(),
+        title: w[3].clone(),
+        doc_count: id as usize,
+        indexes: vec![w[0].clone()],
+        classifiers: vec![w[1].clone()],
+        subcollections: vec![collection.clone()],
+        is_virtual: id.is_multiple_of(2),
+    };
+    let aux = [
+        AuxPayload::Plant {
+            op: id,
+            super_collection: collection.clone(),
+            sub_name: w[2].as_str().into(),
+        },
+        AuxPayload::Delete {
+            op: id,
+            super_collection: collection.clone(),
+            sub_name: w[3].as_str().into(),
+        },
+        AuxPayload::ForwardEvent {
+            op: id,
+            super_name: w[1].as_str().into(),
+            event: event.clone(),
+        },
+        AuxPayload::Ack { op: id },
+    ];
+    let mut out = vec![
+        GsMessage::DescribeRequest {
+            request: RequestId(id),
+            collection: w[1].as_str().into(),
+        },
+        GsMessage::DescribeResponse {
+            request: RequestId(id),
+            result: Ok(info),
+        },
+        GsMessage::DescribeResponse {
+            request: RequestId(id),
+            result: Err(GsError::UnknownCollection(w[2].as_str().into())),
+        },
+        GsMessage::FetchRequest {
+            request: RequestId(id),
+            collection: w[1].as_str().into(),
+            visited: vec![collection.clone()],
+            via_parent: true,
+        },
+        GsMessage::FetchResponse {
+            request: RequestId(id),
+            docs: vec![FetchedDoc {
+                collection: collection.clone(),
+                doc: SourceDocument::new(w[3].as_str(), w[2].as_str()).with_metadata(md),
+            }],
+            errors: vec![GsError::UnknownIndex(w[0].clone()), GsError::Timeout],
+            fatal: Some(GsError::PrivateCollection(w[3].as_str().into())),
+        },
+        GsMessage::SearchRequest {
+            request: RequestId(id),
+            collection: w[1].as_str().into(),
+            index: w[2].clone(),
+            query: Query::parse("digital AND librar*").unwrap(),
+            visited: Vec::new(),
+            via_parent: false,
+        },
+        GsMessage::SearchResponse {
+            request: RequestId(id),
+            hits: vec![SearchHit {
+                doc: DocumentRef::new(collection, w[3].as_str()),
+                score: id as f64 / 7.0,
+            }],
+            errors: Vec::new(),
+            fatal: None,
+        },
+        GsMessage::Alerting(XmlElement::new("opaque").with_text(w[0].as_str())),
+    ];
+    out.extend(aux.iter().map(|a| GsMessage::Alerting(a.to_xml())));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The byte count the simulator charges per send is exactly the
+    /// length of the encoding, for every message of every protocol,
+    /// every payload representation and every escaped or multibyte
+    /// character — although neither format is encoded to count it.
+    #[test]
+    fn wire_size_is_the_exact_encoded_length_of_every_message(
+        w in prop::collection::vec(NASTY_TEXT, 4..6),
+        id in 0u64..u64::MAX,
+        n_targets in 1usize..4,
+        titles in prop::collection::vec(NASTY_TEXT, 0..4),
+    ) {
+        let mut event = Event::new(
+            EventId::new(w[0].as_str(), id),
+            CollectionId::new(w[0].as_str(), w[1].as_str()),
+            EventKind::ALL[(id % EventKind::ALL.len() as u64) as usize],
+            SimTime::from_micros(id % 1_000_000),
+        );
+        event.docs = titles
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let md: MetadataRecord = [(keys::TITLE, t.as_str())].into_iter().collect();
+                DocSummary::new(format!("doc-{i}{t}"))
+                    .with_metadata(md)
+                    .with_excerpt(w[2].as_str())
+            })
+            .collect();
+        let targets: Vec<HostName> = w.iter().take(n_targets).map(|t| HostName::new(t.as_str())).collect();
+
+        let mut messages: Vec<SysMessage> = gs_variants(&w, id, &event)
+            .into_iter()
+            .map(SysMessage::Gs)
+            .collect();
+        for gds in gds_variants(&w, id, &targets, &event) {
+            messages.extend([
+                SysMessage::Gds(gds.clone()),
+                SysMessage::RelGds(Reliable::Data { seq: id, payload: gds.clone() }),
+                SysMessage::GdsBin(gds.clone()),
+                SysMessage::RelGdsBin(Reliable::Data { seq: id, payload: gds }),
+            ]);
+        }
+        for seq in [0, id] {
+            messages.extend([
+                SysMessage::RelGds(Reliable::Ack { seq }),
+                SysMessage::RelGds(Reliable::Nack { seq }),
+                SysMessage::RelGdsBin(Reliable::Ack { seq }),
+                SysMessage::RelGdsBin(Reliable::Nack { seq }),
+            ]);
+        }
+        for msg in &messages {
+            prop_assert_eq!(msg.wire_size(), encoded_len(msg));
+        }
     }
 }
